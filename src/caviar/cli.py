@@ -58,10 +58,9 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rules", default=None, metavar="FILE",
                    help="rewrite rule file (default: built-in ruleset)")
     p.add_argument("--deterministic", action="store_true",
-                   help="replace wall-clock stops with iteration budgets and "
+                   help="run on the iteration clock: count the budget in "
+                        "iterations (--iter-limit) instead of seconds and "
                         "report time_ms as 0.0, for reproducible output")
-    p.add_argument("--pulse-iters", type=int, default=5,
-                   help="iterations per pulse in deterministic mode (default 5)")
 
 
 def _build_config(args, proving: bool) -> EngineConfig:
@@ -73,21 +72,16 @@ def _build_config(args, proving: bool) -> EngineConfig:
     else:
         iter_limit = 10_000 if iter_limit is None else iter_limit
         node_limit = 1_000_000 if node_limit is None else node_limit
-    cfg = EngineConfig(time_limit=args.timeout, iter_limit=iter_limit,
-                       node_limit=node_limit, deterministic=args.deterministic,
-                       pulse_iters=args.pulse_iters)
-    if proving:
-        cfg.ilc_enabled = not args.no_ilc
-        cfg.nppd_enabled = not args.no_nppd
-        cfg.pulse_threshold = None if args.no_pulse else args.pulse
-        cfg.goals = _parse_goals(args.goals)
-        if cfg.pulse_threshold is not None and cfg.pulse_threshold > cfg.time_limit:
-            cfg.pulse_threshold = cfg.time_limit
-    else:
-        cfg.ilc_enabled = False
-        cfg.nppd_enabled = False
-        cfg.pulse_threshold = None
-    return cfg
+    # built in one call, so EngineConfig validates the final values
+    common = dict(time_limit=args.timeout, iter_limit=iter_limit,
+                  node_limit=node_limit, deterministic=args.deterministic)
+    if not proving:
+        return EngineConfig(**common, ilc_enabled=False, nppd_enabled=False,
+                            pulse_threshold=None)
+    return EngineConfig(
+        **common, ilc_enabled=not args.no_ilc, nppd_enabled=not args.no_nppd,
+        pulse_threshold=None if args.no_pulse else min(args.pulse, args.timeout),
+        pulse_iters=args.pulse_iters, goals=_parse_goals(args.goals))
 
 
 def _load_rules(args):
@@ -112,6 +106,9 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--pulse", type=float, default=0.05,
                    help="pulse threshold in seconds (default 0.05)")
     p.add_argument("--no-pulse", action="store_true", help="disable pulsing")
+    p.add_argument("--pulse-iters", type=int, default=5,
+                   help="pulse period in iterations under --deterministic "
+                        "(default 5)")
     p.add_argument("--no-ilc", action="store_true",
                    help="disable iteration-level goal checks")
     p.add_argument("--no-nppd", action="store_true",

@@ -203,19 +203,6 @@ class EGraph:
         home = self.hashcons.get(ln)
         return home is not None and self.find(home) == self.find(cid)
 
-    def counts(self) -> tuple[int, int]:
-        """(number of canonical classes, number of canonical e-nodes).
-
-        Valid after rebuild.
-        """
-        nodes = set()
-        for cid in self.classes:
-            nodes.update(self.canonical_nodes(cid))
-        return len(self.classes), len(nodes)
-
-    def class_ids(self) -> list[EClassId]:
-        return list(self.classes.keys())
-
     def add_expr(self, e: Expr) -> EClassId:
         if isinstance(e, Var):
             return self.add(leaf(LEAF_VAR, e.name))

@@ -24,7 +24,6 @@ ITER_LIMIT = "iter_limit"
 NODE_LIMIT = "node_limit"
 GOAL_FOUND = "goal_found"
 NON_PROVABLE_DETECTED = "non_provable_detected"
-_DEADLINE = "deadline"  # internal: per-run deadline hit; mapped by the caller
 
 
 class _AbortRun(Exception):
@@ -55,9 +54,8 @@ class EngineConfig:
     nppd_enabled: bool = True
     pulse_threshold: float | None = 0.05  # seconds; None disables pulsing
     goals: list[Expr] = field(default_factory=lambda: [BoolConst(False), BoolConst(True)])
-    match_limit: int | None = None  # per-iteration match budget safety valve
-    # deterministic mode swaps wall-clock stops for iteration budgets:
-    # iter_limit bounds the run and pulse_iters is the pulse period
+    # deterministic mode runs on the iteration clock: iter_limit bounds the
+    # run and pulse_iters is the pulse period
     deterministic: bool = False
     pulse_iters: int = 5
 
@@ -66,6 +64,8 @@ class EngineConfig:
             raise ValueError("time_limit must be positive")
         if self.pulse_threshold is not None and self.pulse_threshold > self.time_limit:
             raise ValueError("pulse_threshold must not exceed time_limit")
+        if self.pulse_iters < 1:
+            raise ValueError("pulse_iters must be positive")
         for gexpr in self.goals:
             if not isinstance(gexpr, BoolConst):
                 raise ValueError("goals must be ground boolean literals")
@@ -119,108 +119,51 @@ def nppd_check(g: EGraph, root: EClassId, patterns: list[NPPattern]) -> str | No
     return None
 
 
-class _Budget:
-    """Shared stopping state for one prove/simplify call."""
+class _Clock:
+    """The budget of one prove/simplify call. It reads seconds on the wall
+    clock or, under `deterministic`, completed iterations; `limit` and the
+    pulse period `pulse` (None: no pulsing) are in the same unit, and running
+    out stops with `stop_kind` (TIME_LIMIT or ITER_LIMIT)."""
 
     def __init__(self, cfg: EngineConfig):
-        self.cfg = cfg
-        self.start = time.monotonic()
-        self.global_deadline = self.start + cfg.time_limit
-        self.total_iterations = 0
-
-    def now(self) -> float:
-        return time.monotonic()
-
-    def elapsed(self) -> float:
-        return 0.0 if self.cfg.deterministic else time.monotonic() - self.start
-
-    def global_exhausted(self) -> bool:
-        if self.cfg.deterministic:
-            return self.total_iterations >= self.cfg.iter_limit
-        return time.monotonic() >= self.global_deadline
+        self.iterations = 0
+        self.pulses = 0
+        if cfg.deterministic:
+            self.now = lambda: self.iterations
+            self.seconds = lambda: 0.0  # keeps reports reproducible
+            self.limit, self.stop_kind = cfg.iter_limit, ITER_LIMIT
+            self.pulse = None if cfg.pulse_threshold is None else cfg.pulse_iters
+        else:
+            start = time.monotonic()
+            self.now = time.monotonic
+            self.seconds = lambda: time.monotonic() - start
+            self.limit, self.stop_kind = start + cfg.time_limit, TIME_LIMIT
+            self.pulse = cfg.pulse_threshold
 
 
 def run_saturation(g: EGraph, root: EClassId, rules, cfg: EngineConfig,
-                   budget: _Budget, report: RunReport,
-                   patterns: list[NPPattern] | None = None,
-                   pulse_deadline: float | None = None,
-                   pulse_iter_budget: int | None = None) -> StopReason:
+                   clock: _Clock, report: RunReport,
+                   patterns: list[NPPattern] | None,
+                   deadline: float) -> StopReason:
     """Saturation loop with iteration-level goal and non-provable checks.
 
-    Returns a StopReason; kind `_DEADLINE` means the per-run deadline (global
-    or pulse) fired and the caller decides whether to restart or stop.
+    Stops with kind `clock.stop_kind` once `clock.now()` reaches `deadline`;
+    the caller tells a pulse boundary from the end of the budget. On the
+    iteration clock the mid-iteration ticks never fire, because the count
+    only moves between iterations.
     """
     patterns = patterns or []
-    det = cfg.deterministic
-    pulse_iters_left = pulse_iter_budget
-
-    def deadline_hit() -> bool:
-        if det:
-            return (budget.total_iterations >= cfg.iter_limit
-                    or (pulse_iters_left is not None and pulse_iters_left <= 0))
-        now = time.monotonic()
-        return now >= budget.global_deadline or (
-            pulse_deadline is not None and now >= pulse_deadline)
 
     def match_tick():
-        if not det and deadline_hit():
-            raise _AbortRun(StopReason(_DEADLINE))
+        if clock.now() >= deadline:
+            raise _AbortRun(StopReason(clock.stop_kind))
 
     def apply_tick():
-        if not det and deadline_hit():
-            raise _AbortRun(StopReason(_DEADLINE))
+        match_tick()
         if len(g.hashcons) >= cfg.node_limit:
             raise _AbortRun(StopReason(NODE_LIMIT))
 
-    # iteration-0 checks (Var/const roots and direct pattern hits stop here)
-    if cfg.ilc_enabled:
-        gi = goals_check(g, root, cfg.goals)
-        if gi is not None:
-            return StopReason(GOAL_FOUND, gi)
-    if cfg.nppd_enabled:
-        pid = nppd_check(g, root, patterns)
-        if pid is not None:
-            return StopReason(NON_PROVABLE_DETECTED, pid)
-
-    while True:
-        if budget.total_iterations >= cfg.iter_limit:
-            return StopReason(ITER_LIMIT) if not det else StopReason(_DEADLINE)
-        if deadline_hit():
-            return StopReason(_DEADLINE)
-
-        version_before = g.version
-        all_matches = []
-        n_matches = 0
-        try:
-            for rule in rules:
-                ms = gather_matches(g, rule, tick=match_tick)
-                if cfg.match_limit is not None:
-                    room = cfg.match_limit - n_matches
-                    if room <= 0:
-                        ms = []
-                    elif len(ms) > room:
-                        ms = ms[:room]
-                n_matches += len(ms)
-                all_matches.append(ms)
-            unions = 0
-            for rule, ms in zip(rules, all_matches):
-                unions += apply_matches(g, rule, ms, tick=apply_tick)
-        except _AbortRun as abort:
-            # the iteration is abandoned mid-flight; restore invariants so
-            # the final goal check and extraction still work
-            g.rebuild()
-            return abort.stop
-        g.rebuild()
-        root = g.find(root)
-
-        budget.total_iterations += 1
-        if pulse_iters_left is not None:
-            pulse_iters_left -= 1
-        n_classes, n_enodes = len(g.classes), len(g.hashcons)
-        report.iterations.append(IterationStats(
-            iteration=budget.total_iterations, matches=n_matches, unions=unions,
-            classes=n_classes, enodes=n_enodes, elapsed=budget.elapsed()))
-
+    def checks() -> StopReason | None:
         if cfg.ilc_enabled:
             gi = goals_check(g, root, cfg.goals)
             if gi is not None:
@@ -229,17 +172,88 @@ def run_saturation(g: EGraph, root: EClassId, rules, cfg: EngineConfig,
             pid = nppd_check(g, root, patterns)
             if pid is not None:
                 return StopReason(NON_PROVABLE_DETECTED, pid)
-        if g.version == version_before:
-            return StopReason(SATURATED)
-        if n_enodes >= cfg.node_limit:
-            return StopReason(NODE_LIMIT)
+        return None
+
+    # iteration-0 checks (Var/const roots and direct pattern hits stop here)
+    stop = checks()
+    while stop is None:
+        if clock.iterations >= cfg.iter_limit:
+            return StopReason(ITER_LIMIT)
+        if clock.now() >= deadline:
+            return StopReason(clock.stop_kind)
+
+        version_before = g.version
+        try:
+            all_matches = [gather_matches(g, rule, tick=match_tick) for rule in rules]
+            unions = sum(apply_matches(g, rule, ms, tick=apply_tick)
+                         for rule, ms in zip(rules, all_matches))
+        except _AbortRun as abort:
+            # the iteration is abandoned mid-flight; restore invariants so
+            # the final goal check and extraction still work
+            g.rebuild()
+            return abort.stop
+        g.rebuild()
+        root = g.find(root)
+
+        clock.iterations += 1
+        n_enodes = len(g.hashcons)
+        report.iterations.append(IterationStats(
+            iteration=clock.iterations, matches=sum(map(len, all_matches)),
+            unions=unions, classes=len(g.classes), enodes=n_enodes,
+            elapsed=clock.seconds()))
+
+        stop = checks()
+        if stop is None and g.version == version_before:
+            stop = StopReason(SATURATED)
+        if stop is None and n_enodes >= cfg.node_limit:
+            stop = StopReason(NODE_LIMIT)
+    return stop
 
 
-def _finalize(g: EGraph, root: EClassId, stop: StopReason, cfg: EngineConfig,
-              budget: _Budget, pulses: int, report: RunReport,
-              extract: bool = True) -> ProveResult:
-    root = g.find(root)
-    elapsed = budget.elapsed()
+def _saturate(expr: Expr, rules, patterns: list[NPPattern] | None,
+              cfg: EngineConfig, clock: _Clock,
+              report: RunReport) -> tuple[EGraph, EClassId, StopReason]:
+    """The pulsed loop shared by every entry point: saturate until the pulse
+    period runs out, restart from the smallest form found so far, and stop
+    at a definite result or at the end of the clock's budget."""
+    while True:
+        g, root = from_expr(expr)
+        deadline = clock.limit
+        if clock.pulse is not None:
+            deadline = min(deadline, clock.now() + clock.pulse)
+        stop = run_saturation(g, root, rules, cfg, clock, report, patterns,
+                              deadline)
+        root = g.find(root)
+        if stop.kind != clock.stop_kind or clock.now() >= clock.limit:
+            return g, root, stop
+        # pulse boundary: restart from the best expression found so far
+        expr, _ = extract_best(g, root, AST_SIZE)
+        clock.pulses += 1
+
+
+def prove(expr: Expr, rules, patterns: list[NPPattern] | None = None,
+          cfg: EngineConfig | None = None, extract: bool = True) -> ProveResult:
+    """Prove whether a boolean expression is identically true or false.
+
+    `prove_pulsed` with pulsing off: a single saturation run, with
+    iteration-level goal checks when `ilc_enabled` and non-provable pattern
+    checks when `nppd_enabled`.
+    """
+    cfg = replace(cfg or EngineConfig(), pulse_threshold=None)
+    return prove_pulsed(expr, rules, patterns, cfg, extract=extract)
+
+
+def prove_pulsed(expr: Expr, rules, patterns: list[NPPattern] | None = None,
+                 cfg: EngineConfig | None = None, extract: bool = True) -> ProveResult:
+    """Prove with pulsed restarts: when the pulse threshold fires, extract the
+    smallest form found so far, reinitialize the e-graph from it, and keep
+    going until a definite stop or the end of the clock's budget. `elapsed`
+    includes the final extraction."""
+    cfg = cfg or EngineConfig()
+    if sort_of(expr) != BOOL:
+        raise SortError("prove requires a boolean-sorted expression")
+    clock, report = _Clock(cfg), RunReport()
+    g, root, stop = _saturate(expr, rules, patterns, cfg, clock, report)
     # final goal check regardless of the stop reason
     gi = goals_check(g, root, cfg.goals)
     if gi is not None and stop.kind != NON_PROVABLE_DETECTED:
@@ -250,73 +264,12 @@ def _finalize(g: EGraph, root: EClassId, stop: StopReason, cfg: EngineConfig,
         outcome, value, pid = NON_PROVABLE, None, stop.detail
     else:
         outcome, value, pid = UNKNOWN, None, None
-    best = None
-    if extract:
-        best, _ = extract_best(g, root, AST_SIZE)
-    n_classes, n_enodes = len(g.classes), len(g.hashcons)
+    best = extract_best(g, root, AST_SIZE)[0] if extract else None
     return ProveResult(
         outcome=outcome, value=value, pattern_id=pid, stop=stop,
-        elapsed=elapsed,
-        iterations=budget.total_iterations, pulses=pulses,
-        classes=n_classes, enodes=n_enodes, best_expr=best, report=report)
-
-
-def _map_deadline(stop: StopReason, cfg: EngineConfig) -> StopReason:
-    if stop.kind != _DEADLINE:
-        return stop
-    return StopReason(ITER_LIMIT) if cfg.deterministic else StopReason(TIME_LIMIT)
-
-
-def prove(expr: Expr, rules, patterns: list[NPPattern] | None = None,
-          cfg: EngineConfig | None = None, extract: bool = True) -> ProveResult:
-    """Prove whether a boolean expression is identically true or false.
-
-    Single saturation run (no pulsing); iteration-level goal checks when
-    `ilc_enabled`, non-provable pattern checks when `nppd_enabled`.
-    """
-    cfg = cfg or EngineConfig()
-    if sort_of(expr) != BOOL:
-        raise SortError("prove requires a boolean-sorted expression")
-    budget = _Budget(cfg)
-    report = RunReport()
-    g, root = from_expr(expr)
-    stop = run_saturation(g, root, rules, cfg, budget, report, patterns)
-    stop = _map_deadline(stop, cfg)
-    return _finalize(g, root, stop, cfg, budget, pulses=0, report=report,
-                     extract=extract)
-
-
-def prove_pulsed(expr: Expr, rules, patterns: list[NPPattern] | None = None,
-                 cfg: EngineConfig | None = None, extract: bool = True) -> ProveResult:
-    """Prove with pulsed restarts: when the pulse threshold fires, extract the
-    smallest form found so far, reinitialize the e-graph from it, and keep
-    going until a definite stop or the total time limit."""
-    cfg = cfg or EngineConfig()
-    if cfg.pulse_threshold is None:
-        return prove(expr, rules, patterns, cfg, extract=extract)
-    if sort_of(expr) != BOOL:
-        raise SortError("prove requires a boolean-sorted expression")
-    budget = _Budget(cfg)
-    report = RunReport()
-    pulses = 0
-    current = expr
-    while True:
-        g, root = from_expr(current)
-        if cfg.deterministic:
-            stop = run_saturation(g, root, rules, cfg, budget, report, patterns,
-                                  pulse_iter_budget=cfg.pulse_iters)
-        else:
-            pulse_deadline = min(budget.global_deadline,
-                                 time.monotonic() + cfg.pulse_threshold)
-            stop = run_saturation(g, root, rules, cfg, budget, report, patterns,
-                                  pulse_deadline=pulse_deadline)
-        if stop.kind != _DEADLINE or budget.global_exhausted():
-            stop = _map_deadline(stop, cfg)
-            return _finalize(g, root, stop, cfg, budget, pulses, report,
-                             extract=extract)
-        # pulse boundary: restart from the best expression found so far
-        current, _ = extract_best(g, g.find(root), AST_SIZE)
-        pulses += 1
+        elapsed=clock.seconds(), iterations=clock.iterations,
+        pulses=clock.pulses, classes=len(g.classes), enodes=len(g.hashcons),
+        best_expr=best, report=report)
 
 
 def max_pulses(cfg: EngineConfig) -> int:
@@ -339,16 +292,13 @@ class SimplifyResult:
 
 def simplify(expr: Expr, rules, cfg: EngineConfig | None = None,
              cost_model: str = AST_SIZE) -> SimplifyResult:
-    """Saturate (no goal or pattern checks) and extract the best form."""
-    cfg = cfg or EngineConfig()
+    """Saturate (no goal or pattern checks, no pulsing) and extract the best
+    form."""
+    cfg = replace(cfg or EngineConfig(), ilc_enabled=False, nppd_enabled=False,
+                  pulse_threshold=None)
     sort_of(expr)
-    budget = _Budget(cfg)
-    report = RunReport()
-    g, root = from_expr(expr)
-    quiet = replace(cfg, ilc_enabled=False, nppd_enabled=False,
-                    pulse_threshold=None)
-    stop = _map_deadline(run_saturation(g, root, rules, quiet, budget, report), cfg)
-    best, cost = extract_best(g, g.find(root), cost_model)
-    return SimplifyResult(best, cost, stop, budget.elapsed(),
-                          budget.total_iterations, len(g.classes),
-                          len(g.hashcons), report)
+    clock, report = _Clock(cfg), RunReport()
+    g, root, stop = _saturate(expr, rules, [], cfg, clock, report)
+    best, cost = extract_best(g, root, cost_model)
+    return SimplifyResult(best, cost, stop, clock.seconds(), clock.iterations,
+                          len(g.classes), len(g.hashcons), report)

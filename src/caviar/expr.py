@@ -113,10 +113,6 @@ def sort_of(e: Expr, var_sorts: dict[str, str] | None = None) -> str:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def check_sorts(e: Expr) -> str:
-    return sort_of(e)
-
-
 def apply_op(op: str, *args):
     """Total operator semantics shared by the evaluator and constant folding."""
     if op == "+":

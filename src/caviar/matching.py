@@ -299,12 +299,8 @@ def ematch(g: EGraph, p: Pattern):
         index = g.nodes_by_op()
         candidates = sorted({g.find(cid) for cid, _ in index.get(p.op, ())})
     for cid in candidates:
-        seen = set()
-        for s in _match_node(g, p, cid, {}):
-            key = tuple(sorted((k, g.find(v)) for k, v in s.items()))
-            if key not in seen:
-                seen.add(key)
-                yield (cid, s)
+        for s in ematch_class(g, p, cid):
+            yield (cid, s)
 
 
 def instantiate(g: EGraph, p: Pattern, subst: Substitution) -> EClassId:

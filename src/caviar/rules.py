@@ -222,7 +222,6 @@ def rule_to_line(r: Rule) -> str:
 class Ruleset:
     name: str
     rules: list[Rule] = field(default_factory=list)
-    version: str = "0"
 
     def __post_init__(self):
         names = [r.name for r in self.rules]
@@ -486,8 +485,6 @@ DEFAULT_NPPD_TEXT = """
 (nppd const-lt-var (< ?c ?x) :if (and (const ?c) (isvar ?x)))
 """
 
-RULESET_VERSION = "1"
-
 _DEFAULT_RULESET: Ruleset | None = None
 _DEFAULT_NPPD: list[NPPattern] | None = None
 
@@ -495,9 +492,7 @@ _DEFAULT_NPPD: list[NPPattern] | None = None
 def default_ruleset() -> Ruleset:
     global _DEFAULT_RULESET
     if _DEFAULT_RULESET is None:
-        rs = parse_rules(DEFAULT_RULES_TEXT, name="builtin")
-        rs.version = RULESET_VERSION
-        _DEFAULT_RULESET = rs
+        _DEFAULT_RULESET = parse_rules(DEFAULT_RULES_TEXT, name="builtin")
     return _DEFAULT_RULESET
 
 

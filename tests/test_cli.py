@@ -80,6 +80,21 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_timeout_below_default_pulse(capsys):
+    # the 0.05 s default pulse threshold is clamped to a shorter timeout
+    code, _, _ = run_cli(capsys, "prove", "--expr", "x <= x", "--timeout", "0.01")
+    assert code == 0
+    code, _, _ = run_cli(capsys, "simplify", "--expr", "a + 0", "--timeout", "0.01")
+    assert code == 0
+
+
+def test_pulse_iters_must_be_positive(capsys):
+    code, _, err = run_cli(capsys, "prove", "--expr", "x + 1 < x + 2",
+                           "--deterministic", "--no-ilc", "--pulse-iters", "0")
+    assert code == 2
+    assert "pulse_iters" in err
+
+
 def test_config_banner_variants(capsys):
     _, _, err = run_cli(capsys, "prove", "--expr", "x <= x", "--deterministic",
                         "--no-ilc", "--no-nppd", "--no-pulse")

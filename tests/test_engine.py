@@ -1,9 +1,11 @@
 """Saturation engine: goal checks, stop reasons, pulsing, determinism."""
 
 import math
+import time
 
 import pytest
 
+import caviar.engine
 from caviar.engine import (
     EngineConfig, GOAL_FOUND, ITER_LIMIT, NODE_LIMIT, NON_PROVABLE_DETECTED,
     SATURATED, TIME_LIMIT, max_pulses, prove, prove_pulsed, simplify,
@@ -112,6 +114,34 @@ def test_time_limit_stop_bounded_overshoot():
     assert dt < 2.0
 
 
+@pytest.mark.parametrize("entry, kw, kind", [
+    (prove, dict(deterministic=True, iter_limit=3), ITER_LIMIT),
+    (prove_pulsed, dict(time_limit=0.3, pulse_threshold=0.05), TIME_LIMIT),
+    (simplify, dict(deterministic=True, iter_limit=3), ITER_LIMIT),
+])
+def test_clock_stop_kind(entry, kw, kind):
+    # running out of the clock's budget stops with the clock's own unit
+    c = cfg(ilc_enabled=False, nppd_enabled=False, node_limit=100_000, **kw)
+    r = entry(parse_infix("2 < x % 8"), RULES, cfg=c)
+    assert r.stop.kind == kind
+    if kind == ITER_LIMIT:
+        assert r.iterations == c.iter_limit
+    else:
+        assert r.pulses >= 1
+
+
+def test_elapsed_includes_final_extraction(monkeypatch):
+    real = caviar.engine.extract_best
+
+    def slow_extract(*args, **kwargs):
+        time.sleep(0.05)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(caviar.engine, "extract_best", slow_extract)
+    r = prove(parse_infix("x <= x"), RULES, NPPD, extract=True)
+    assert r.elapsed >= 0.05
+
+
 def test_report_matches_iterations():
     r = prove(parse_infix("min(x, y) <= x"), RULES, NPPD)
     assert len(r.report.iterations) == r.iterations
@@ -180,3 +210,5 @@ def test_config_validation():
         EngineConfig(time_limit=1.0, pulse_threshold=2.0)
     with pytest.raises(ValueError):
         EngineConfig(goals=[parse_infix("x < 1")])
+    with pytest.raises(ValueError):
+        EngineConfig(pulse_iters=0)

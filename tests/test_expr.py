@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from caviar.expr import (
     Binary, BoolConst, IntConst, ParseError, SortError, Unary, UnboundVariable,
-    Var, apply_op, ast_size, check_sorts, evaluate, free_vars, parse_infix,
+    Var, apply_op, ast_size, evaluate, free_vars, parse_infix,
     parse_sexpr, print_infix, print_sexpr, sort_of,
 )
 from caviar.matching import PatVar
@@ -79,7 +79,7 @@ def test_sort_errors():
 def test_sort_of():
     assert sort_of(parse_infix("a + b")) == "int"
     assert sort_of(parse_infix("a <= b")) == "bool"
-    assert check_sorts(parse_infix("min(a, b) < 3 && true")) == "bool"
+    assert sort_of(parse_infix("min(a, b) < 3 && true")) == "bool"
 
 
 def test_apply_op_floor_division():
