@@ -2,6 +2,8 @@
 
 Congruence is maintained by deferred rebuilding: unions mark classes dirty
 and `rebuild` repairs the hashcons/congruence invariants to a fixed point.
+After `rebuild`, each class's stored `nodes` list is canonical (every child
+is its own `find`) and duplicate-free, so readers use it as stored.
 The union-find keeps the smallest member id as the canonical representative,
 which makes class ids (and everything derived from them) deterministic.
 """
@@ -45,6 +47,7 @@ class EGraph:
         # bumped on every structural change; the saturation engine compares
         # it across an iteration to detect saturation
         self.version = 0
+        self._op_index: tuple[int, dict[str, list[EClassId]]] = (-1, {})
 
     # -- union-find --------------------------------------------------------
 
@@ -58,7 +61,7 @@ class EGraph:
     def canonicalize(self, n: ENode) -> ENode:
         if not n.children:
             return n
-        return ENode(n.op, n.payload, tuple(self.find(c) for c in n.children))
+        return ENode(n.op, n.payload, tuple(map(self.find, n.children)))
 
     # -- construction ------------------------------------------------------
 
@@ -116,31 +119,23 @@ class EGraph:
     def rebuild(self) -> None:
         dirty = bool(self._worklist)
         while self._worklist:
-            todo = []
-            seen = set()
-            for c in self._worklist:
-                c = self.find(c)
-                if c not in seen:
-                    seen.add(c)
-                    todo.append(c)
+            todo = dict.fromkeys(map(self.find, self._worklist))
             self._worklist = []
             for c in todo:
                 self._repair(self.find(c))
         if dirty:
-            # normalize member node storage so later scans see canonical,
-            # deduplicated nodes without re-canonicalizing per query
+            # the one place that keeps stored nodes canonical and duplicate-
+            # free; `_repair` rewrites only the parent lists
             for cls in self.classes.values():
-                dedup: dict[ENode, None] = {}
-                for n in cls.nodes:
-                    dedup.setdefault(self.canonicalize(n), None)
-                cls.nodes = list(dedup)
+                cls.nodes = list(dict.fromkeys(map(self.canonicalize, cls.nodes)))
 
     def _repair(self, cid: EClassId) -> None:
-        cls = self.classes.get(cid)
-        if cls is None:
-            return
+        cls = self.classes[cid]
+        # taken out first: a union below may merge this class, and the
+        # surviving class keeps its own parents (queued for repair) plus these
+        parents, cls.parents = cls.parents, []
         new_parents: dict[ENode, EClassId] = {}
-        for pnode, pclass in cls.parents:
+        for pnode, pclass in parents:
             self.hashcons.pop(pnode, None)
             pnode2 = self.canonicalize(pnode)
             pclass = self.find(pclass)
@@ -149,16 +144,9 @@ class EGraph:
                 pclass = self.union(prev, pclass)
             new_parents[pnode2] = pclass
             self.hashcons[pnode2] = pclass
-        cid = self.find(cid)
-        cls = self.classes[cid]
-        cls.parents = list(new_parents.items())
-        # re-canonicalize and dedupe member nodes
-        dedup: dict[ENode, None] = {}
-        for n in cls.nodes:
-            dedup.setdefault(self.canonicalize(n), None)
-        cls.nodes = list(dedup)
+        self.classes[self.find(cid)].parents.extend(new_parents.items())
         # propagate constant data upward
-        for pnode, pclass in cls.parents:
+        for pnode, pclass in new_parents.items():
             pclass = self.find(pclass)
             pcls = self.classes[pclass]
             nd = analysis.make(
@@ -173,27 +161,18 @@ class EGraph:
 
     # -- queries -----------------------------------------------------------
 
-    def nodes_by_op(self) -> dict[str, list[tuple[EClassId, ENode]]]:
-        """Index of canonical member e-nodes grouped by operator symbol.
-
-        Cached per graph version; valid after rebuild.
-        """
-        cache = getattr(self, "_op_cache", None)
-        if cache is not None and cache[0] == self.version:
-            return cache[1]
-        index: dict[str, list[tuple[EClassId, ENode]]] = {}
-        for cid in self.classes:
-            for n in self.canonical_nodes(cid):
-                index.setdefault(n.op, []).append((cid, n))
-        self._op_cache = (self.version, index)
+    def classes_by_op(self) -> dict[str, list[EClassId]]:
+        """Sorted, distinct ids of the classes holding an e-node of each
+        operator symbol. Cached per graph version; valid after rebuild."""
+        version, index = self._op_index
+        if version == self.version:
+            return index
+        index = {}
+        for cid in sorted(self.classes):
+            for op in {n.op for n in self.classes[cid].nodes}:
+                index.setdefault(op, []).append(cid)
+        self._op_index = (self.version, index)
         return index
-
-    def canonical_nodes(self, cid: EClassId) -> list[ENode]:
-        """Canonicalized, deduplicated member e-nodes of a class."""
-        dedup: dict[ENode, None] = {}
-        for n in self.classes[self.find(cid)].nodes:
-            dedup.setdefault(self.canonicalize(n), None)
-        return list(dedup)
 
     def class_data(self, cid: EClassId):
         return self.classes[self.find(cid)].data
@@ -219,7 +198,7 @@ class EGraph:
         lines = []
         for cid in sorted(self.classes):
             parts = []
-            for n in sorted(self.canonical_nodes(cid), key=repr):
+            for n in sorted(self.classes[cid].nodes, key=repr):
                 if n.children:
                     parts.append("(" + " ".join([n.op] + [f"c{c}" for c in n.children]) + ")")
                 elif n.op == LEAF_VAR:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 from .egraph import EClassId, EGraph, from_expr
 from .expr import BOOL, BoolConst, Expr, SortError, sort_of
 from .extraction import AST_SIZE, extract_best
-from .matching import apply_matches, ematch_class, eval_condition, gather_matches
+from .matching import apply_matches, eval_condition, gather_matches
 from .rules import NPPattern
 
 PROVED = "proved"
@@ -113,7 +113,7 @@ def nppd_check(g: EGraph, root: EClassId, patterns: list[NPPattern]) -> str | No
     """Id of the first non-provable pattern matching the root class with its
     condition satisfied."""
     for p in patterns:
-        for subst in ematch_class(g, p.pattern, root):
+        for subst in p.matcher.match_class(g, root):
             if eval_condition(p.cond, g, subst):
                 return p.id
     return None
@@ -121,9 +121,9 @@ def nppd_check(g: EGraph, root: EClassId, patterns: list[NPPattern]) -> str | No
 
 class _Clock:
     """The budget of one prove/simplify call. It reads seconds on the wall
-    clock or, under `deterministic`, completed iterations; `limit` and the
-    pulse period `pulse` (None: no pulsing) are in the same unit, and running
-    out stops with `stop_kind` (TIME_LIMIT or ITER_LIMIT)."""
+    clock or, under `deterministic`, completed iterations; `budget`, the end
+    reading `limit` and the pulse period `pulse` (None: no pulsing) share
+    that unit, and running out stops with `stop_kind` (TIME/ITER_LIMIT)."""
 
     def __init__(self, cfg: EngineConfig):
         self.iterations = 0
@@ -131,14 +131,15 @@ class _Clock:
         if cfg.deterministic:
             self.now = lambda: self.iterations
             self.seconds = lambda: 0.0  # keeps reports reproducible
-            self.limit, self.stop_kind = cfg.iter_limit, ITER_LIMIT
+            self.budget, self.stop_kind = cfg.iter_limit, ITER_LIMIT
             self.pulse = None if cfg.pulse_threshold is None else cfg.pulse_iters
         else:
             start = time.monotonic()
             self.now = time.monotonic
             self.seconds = lambda: time.monotonic() - start
-            self.limit, self.stop_kind = start + cfg.time_limit, TIME_LIMIT
+            self.budget, self.stop_kind = cfg.time_limit, TIME_LIMIT
             self.pulse = cfg.pulse_threshold
+        self.limit = self.now() + self.budget
 
 
 def run_saturation(g: EGraph, root: EClassId, rules, cfg: EngineConfig,
@@ -273,9 +274,9 @@ def prove_pulsed(expr: Expr, rules, patterns: list[NPPattern] | None = None,
 
 
 def max_pulses(cfg: EngineConfig) -> int:
-    if cfg.pulse_threshold is None:
-        return 0
-    return math.ceil(cfg.time_limit / cfg.pulse_threshold)
+    """Bound on the pulses of one `prove_pulsed` call, in its clock's unit."""
+    clock = _Clock(cfg)
+    return 0 if clock.pulse is None else math.ceil(clock.budget / clock.pulse)
 
 
 @dataclass

@@ -28,26 +28,20 @@ def extract_best(g: EGraph, root: EClassId, cost_model: str = AST_SIZE) -> tuple
     """Minimum-cost representative of a class, by fixed-point relaxation.
 
     Ties are broken by operator ordinal, then by the children's canonical
-    class ids, so extraction is deterministic for a given graph.
+    class ids, so extraction is deterministic for a given graph. Reads the
+    stored e-nodes, so the graph must be rebuilt.
     """
     root = g.find(root)
     best: dict[EClassId, tuple[int, ENode]] = {}
     changed = True
     while changed:
         changed = False
-        for cid in g.classes:
-            for n in g.canonical_nodes(cid):
-                child_costs = []
-                ok = True
-                for c in n.children:
-                    entry = best.get(g.find(c))
-                    if entry is None:
-                        ok = False
-                        break
-                    child_costs.append(entry[0])
-                if not ok:
+        for cid, cls in g.classes.items():
+            for n in cls.nodes:
+                entries = [best.get(c) for c in n.children]
+                if None in entries:
                     continue
-                cand = (_node_cost(cost_model, child_costs), n)
+                cand = (_node_cost(cost_model, [e[0] for e in entries]), n)
                 cur = best.get(cid)
                 if cur is None or cand[0] < cur[0] or (
                         cand[0] == cur[0] and _node_key(cand[1]) < _node_key(cur[1])):
@@ -59,7 +53,7 @@ def extract_best(g: EGraph, root: EClassId, cost_model: str = AST_SIZE) -> tuple
         raise RuntimeError(f"class {root} has no extractable finite term")
 
     def build(cid: EClassId) -> Expr:
-        cost, n = best[g.find(cid)]
+        cost, n = best[cid]
         if n.op == "var":
             return Var(n.payload)
         if n.op == "int":
@@ -89,7 +83,7 @@ def enumerate_terms(g: EGraph, cid: EClassId, depth: int) -> set:
             return memo[key]
         memo[key] = frozenset()  # cycle guard within one depth level
         out = set()
-        for n in g.canonical_nodes(cid):
+        for n in g.classes[cid].nodes:
             if n.op == "var":
                 out.add(Var(n.payload))
             elif n.op == "int":

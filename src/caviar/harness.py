@@ -111,18 +111,29 @@ def prove_line(item: tuple[int, str], rules: list[Rule],
         best_expr=print_infix(res.best_expr) if res.best_expr is not None else "")
 
 
-def _worker(args) -> Row:
-    return prove_line(*args)
+_worker_args: tuple = ()  # (rules, patterns, cfg), set once per pool worker
+
+
+def _init_worker(*args) -> None:
+    global _worker_args
+    _worker_args = args
+
+
+def _worker(item: tuple[int, str]) -> Row:
+    return prove_line(item, *_worker_args)
 
 
 def run_dataset(text: str, rules: list[Rule], patterns: list[NPPattern],
                 cfg: EngineConfig, jobs: int = 1) -> list[Row]:
-    """Prove every expression in a dataset; rows keep the input order."""
+    """Prove every expression in a dataset; rows keep the input order. Pool
+    workers receive the rules, patterns and config once, rows in chunks."""
     items = read_dataset(text)
     if jobs <= 1:
         return [prove_line(item, rules, patterns, cfg) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_worker, [(item, rules, patterns, cfg) for item in items]))
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                             initargs=(rules, patterns, cfg)) as pool:
+        chunk = max(1, len(items) // (4 * jobs))
+        return list(pool.map(_worker, items, chunksize=chunk))
 
 
 def summarize(rows: list[Row]) -> Summary:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from functools import cached_property
+from typing import Iterator, Union
 
 from .egraph import EClassId, EGraph, ENode, leaf
 from .expr import (
@@ -155,9 +156,7 @@ def condition_vars(c: Condition) -> list[str]:
 
 
 def eval_pattern_ground(p: Pattern, env: dict):
-    if isinstance(p, PatVar):
-        return env[p.name]
-    if isinstance(p, Var):
+    if isinstance(p, (PatVar, Var)):
         return env[p.name]
     if isinstance(p, (IntConst, BoolConst)):
         return p.value
@@ -178,7 +177,7 @@ def eval_condition(cond: Condition, g: EGraph, subst: Substitution) -> bool:
         d = g.class_data(subst[cond.var])
         return d is not None and d != 0
     if isinstance(cond, CondIsVar):
-        return any(n.op == "var" for n in g.canonical_nodes(subst[cond.var]))
+        return any(n.op == "var" for n in g.classes[g.find(subst[cond.var])].nodes)
     if isinstance(cond, CondPred):
         env = {}
         for v in pattern_vars(cond.expr):
@@ -221,6 +220,11 @@ class Rule:
     rhs: Pattern
     cond: Condition | None = None
 
+    @cached_property
+    def matcher(self) -> Matcher:
+        """The lhs compiled for e-matching, built on first use."""
+        return Matcher(self.lhs)
+
     def validate(self) -> dict[str, str]:
         """Check sort consistency and variable scoping; returns var sorts."""
         lv, rv = pattern_vars(self.lhs), pattern_vars(self.rhs)
@@ -241,66 +245,71 @@ class Rule:
 
 
 # ---------------------------------------------------------------------------
-# E-matching.
+# E-matching: patterns compile once to nested closures over the stored
+# e-nodes, which `rebuild` keeps canonical; match only a rebuilt graph.
 
-def _match_node(g: EGraph, p: Pattern, cid: EClassId, subst: Substitution):
-    """Yields substitutions matching a pattern against one class."""
-    cid = g.find(cid)
+def _compile(p: Pattern, names: list[str]):
+    """Matcher `m(g, cid, vals)` for `p` at class `cid`: an iterable, lazy
+    for operators, of the extensions of the binding tuple `vals` under which
+    `p` matches, in e-node order. `names`, the variables of `vals` in order,
+    gains those that `p` binds first."""
     if isinstance(p, PatVar):
-        bound = subst.get(p.name)
-        if bound is not None:
-            if g.find(bound) == cid:
-                yield subst
-            return
-        s = dict(subst)
-        s[p.name] = cid
-        yield s
-        return
-    if isinstance(p, Var):
-        for n in g.canonical_nodes(cid):
-            if n.op == "var" and n.payload == p.name:
-                yield subst
-                return
-        return
-    if isinstance(p, (IntConst, BoolConst)):
-        if g.has_literal(cid, p.value):
-            yield subst
-        return
+        if p.name in names:
+            i = names.index(p.name)
+            return lambda g, cid, vals: (vals,) if vals[i] == cid else ()
+        names.append(p.name)
+        return lambda g, cid, vals: (vals + (cid,),)
+    if isinstance(p, (Var, IntConst, BoolConst)):
+        node = (leaf("var", p.name) if isinstance(p, Var) else
+                leaf("bool" if isinstance(p, BoolConst) else "int", p.value))
+        return lambda g, cid, vals: (vals,) if node in g.classes[cid].nodes else ()
+    op = p.op
     if isinstance(p, Unary):
-        for n in g.canonical_nodes(cid):
-            if n.op == p.op:
-                yield from _match_node(g, p.child, n.children[0], subst)
-        return
-    for n in g.canonical_nodes(cid):
-        if n.op == p.op and len(n.children) == 2:
-            for s1 in _match_node(g, p.left, n.children[0], subst):
-                yield from _match_node(g, p.right, n.children[1], s1)
+        child = _compile(p.child, names)
+        return lambda g, cid, vals: (
+            v1 for n in g.classes[cid].nodes if n.op == op
+            for v1 in child(g, n.children[0], vals))
+    left, right = _compile(p.left, names), _compile(p.right, names)
+    return lambda g, cid, vals: (
+        v2 for n in g.classes[cid].nodes if n.op == op
+        for v1 in left(g, n.children[0], vals)
+        for v2 in right(g, n.children[1], v1))
 
 
-def ematch_class(g: EGraph, p: Pattern, cid: EClassId) -> list[Substitution]:
-    """Matches of a pattern against one e-class, deduplicated, in
-    deterministic order."""
-    seen = set()
-    out = []
-    for s in _match_node(g, p, cid, {}):
-        key = tuple(sorted((k, g.find(v)) for k, v in s.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(s)
-    return out
+class Matcher:
+    """A pattern compiled once for e-matching. Pickles as its pattern."""
+
+    def __init__(self, pattern: Pattern):
+        self.pattern, self.names = pattern, []
+        self._match = _compile(pattern, self.names)
+
+    def __reduce__(self):
+        return (Matcher, (self.pattern,))
+
+    def match_class(self, g: EGraph, cid: EClassId) -> Iterator[Substitution]:
+        """Yields the matches against one e-class, deduplicated, in
+        deterministic order; lazily, so that a caller's tick can stop a
+        class with millions of matches."""
+        seen = set()
+        for vals in self._match(g, g.find(cid), ()):
+            if vals not in seen:
+                seen.add(vals)
+                yield dict(zip(self.names, vals))
+
+    def search(self, g: EGraph):
+        """Yields every (class, substitution) pair where the pattern matches,
+        deduplicated per class, in deterministic order."""
+        p = self.pattern
+        candidates = (g.classes_by_op().get(p.op, ()) if isinstance(p, (Unary, Binary))
+                      else sorted(g.classes))
+        for cid in candidates:
+            for subst in self.match_class(g, cid):
+                yield cid, subst
 
 
 def ematch(g: EGraph, p: Pattern):
-    """Yields every (class, substitution) pair where the pattern matches,
-    deduplicated per class, in deterministic order."""
-    if isinstance(p, (PatVar, Var, IntConst, BoolConst)):
-        candidates = sorted(g.classes)
-    else:
-        index = g.nodes_by_op()
-        candidates = sorted({g.find(cid) for cid, _ in index.get(p.op, ())})
-    for cid in candidates:
-        for s in ematch_class(g, p, cid):
-            yield (cid, s)
+    """`Matcher(p).search(g)`; rules and non-provable patterns keep theirs."""
+    return Matcher(p).search(g)
 
 
 def instantiate(g: EGraph, p: Pattern, subst: Substitution) -> EClassId:
@@ -327,7 +336,7 @@ def gather_matches(g: EGraph, rule: Rule,
     enumeration that is taking too long.
     """
     out = []
-    for i, (cid, subst) in enumerate(ematch(g, rule.lhs)):
+    for i, (cid, subst) in enumerate(rule.matcher.search(g)):
         if tick is not None and (i & 0xFF) == 0:
             tick()
         if rule.cond is None or eval_condition(rule.cond, g, subst):

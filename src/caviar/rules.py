@@ -16,6 +16,7 @@ Inside ``pred``, ``and``/``or``/``not`` alias the boolean operators and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .expr import (
     BINARY_OPS, BOOL, UNARY_OPS,
@@ -23,7 +24,7 @@ from .expr import (
 )
 from .matching import (
     CondAnd, CondIsConst, CondIsVar, CondNonConst, CondNonZero, CondPred,
-    Condition, PatVar, Pattern, Rule, check_pattern_sort,
+    Condition, Matcher, PatVar, Pattern, Rule, check_pattern_sort,
 )
 
 # ---------------------------------------------------------------------------
@@ -245,6 +246,11 @@ class NPPattern:
     id: str
     pattern: Pattern
     cond: Condition
+
+    @cached_property
+    def matcher(self) -> Matcher:
+        """The pattern compiled for e-matching, built on first use."""
+        return Matcher(self.pattern)
 
     def validate(self):
         env: dict[str, str] = {}

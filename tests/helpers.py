@@ -9,6 +9,7 @@ from caviar.expr import (
     ARITH_OPS, CMP_OPS, LOGIC_OPS,
     Binary, BoolConst, Expr, IntConst, Unary, Var, evaluate, free_vars,
 )
+from caviar.matching import PatVar
 
 VALUE_POOL = [-100, -17, -10, -8, -7, -5, -4, -3, -2, -1, 0,
               1, 2, 3, 4, 5, 7, 8, 10, 17, 100, 1 << 40, -(1 << 40)]
@@ -138,3 +139,82 @@ def brute_force_congruence(added, unions):
                     if merge(id1, id2):
                         changed = True
     return find
+
+
+def assert_canonical_storage(g: EGraph) -> None:
+    """The rebuild invariant: each class's stored e-nodes are canonical
+    (every child is its own find) and duplicate-free, and each is in the
+    hashcons under its own class."""
+    for cid, cls in g.classes.items():
+        assert len(set(cls.nodes)) == len(cls.nodes), cid
+        for n in cls.nodes:
+            assert all(g.find(c) == c for c in n.children), (cid, n)
+            assert g.find(g.hashcons[n]) == cid, (cid, n)
+
+
+# ---------------------------------------------------------------------------
+# Interpretive e-matching: the reference the compiled matcher is tested
+# against. It re-canonicalizes every class it reads, so it does not rely on
+# the rebuild invariant.
+
+def oracle_nodes(g: EGraph, cid: int) -> list[ENode]:
+    dedup: dict[ENode, None] = {}
+    for n in g.classes[g.find(cid)].nodes:
+        dedup.setdefault(g.canonicalize(n), None)
+    return list(dedup)
+
+
+def oracle_match_node(g: EGraph, p, cid: int, subst: dict):
+    """Yields substitutions matching a pattern against one class."""
+    cid = g.find(cid)
+    if isinstance(p, PatVar):
+        bound = subst.get(p.name)
+        if bound is not None:
+            if g.find(bound) == cid:
+                yield subst
+            return
+        s = dict(subst)
+        s[p.name] = cid
+        yield s
+        return
+    if isinstance(p, Var):
+        for n in oracle_nodes(g, cid):
+            if n.op == "var" and n.payload == p.name:
+                yield subst
+                return
+        return
+    if isinstance(p, (IntConst, BoolConst)):
+        if g.has_literal(cid, p.value):
+            yield subst
+        return
+    if isinstance(p, Unary):
+        for n in oracle_nodes(g, cid):
+            if n.op == p.op:
+                yield from oracle_match_node(g, p.child, n.children[0], subst)
+        return
+    for n in oracle_nodes(g, cid):
+        if n.op == p.op and len(n.children) == 2:
+            for s1 in oracle_match_node(g, p.left, n.children[0], subst):
+                yield from oracle_match_node(g, p.right, n.children[1], s1)
+
+
+def oracle_ematch_class(g: EGraph, p, cid: int) -> list[dict]:
+    """Matches of a pattern against one e-class, deduplicated, in
+    deterministic order."""
+    seen = set()
+    out = []
+    for s in oracle_match_node(g, p, cid, {}):
+        key = tuple(sorted((k, g.find(v)) for k, v in s.items()))
+        if key not in seen:
+            seen.add(key)
+            out.append(s)
+    return out
+
+
+def oracle_ematch(g: EGraph, p) -> list[tuple[int, dict]]:
+    """Every (class, substitution) pair where the pattern matches, over the
+    classes holding the pattern's root operator in ascending id order."""
+    op = p.op if isinstance(p, (Unary, Binary)) else None
+    candidates = sorted({g.find(cid) for cid in g.classes
+                         if op is None or any(n.op == op for n in oracle_nodes(g, cid))})
+    return [(cid, s) for cid in candidates for s in oracle_ematch_class(g, p, cid)]

@@ -8,7 +8,9 @@ from caviar.analysis import ConstantContradiction
 from caviar.egraph import EGraph, ENode, from_expr, leaf
 from caviar.expr import parse_infix
 
-from .helpers import brute_force_congruence, random_congruence_graph
+from .helpers import (
+    assert_canonical_storage, brute_force_congruence, random_congruence_graph,
+)
 
 
 def test_hashcons_dedup():
@@ -118,6 +120,17 @@ def test_rebuild_matches_brute_force_congruence():
                 expected = oracle_find(a) == oracle_find(b)
                 got = g.find(a) == g.find(b)
                 assert got == expected, (seed, a, b)
+
+
+def test_rebuild_keeps_stored_nodes_canonical():
+    for seed in range(50):
+        rng = random.Random(seed)
+        g, added, _ = random_congruence_graph(rng)
+        ids = [cid for _, cid in added]
+        for _ in range(rng.randrange(1, 5)):
+            g.union(rng.choice(ids), rng.choice(ids))
+        g.rebuild()
+        assert_canonical_storage(g)
 
 
 def test_version_tracks_change():

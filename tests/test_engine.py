@@ -169,6 +169,13 @@ def test_pulsed_restarts_and_bounds():
     assert r.pulses <= max_pulses(c) == math.ceil(1.0 / 0.05)
 
 
+def test_max_pulses_on_the_iteration_clock():
+    c = cfg(deterministic=True, iter_limit=200, pulse_iters=1,
+            ilc_enabled=False, nppd_enabled=False)
+    r = prove_pulsed(parse_infix("2 < x % 8"), RULES, [], c)
+    assert r.pulses <= max_pulses(c) == 200
+
+
 def test_pulsed_best_expr_shrinks():
     c = cfg(time_limit=1.0, pulse_threshold=0.05,
             ilc_enabled=False, nppd_enabled=False)

@@ -7,11 +7,13 @@ import pytest
 from caviar.egraph import EGraph, ENode, from_expr, leaf
 from caviar.expr import SortError, parse_infix, parse_sexpr
 from caviar.matching import (
-    CondIsConst, CondNonConst, CondNonZero, CondPred, PatVar, Rule,
-    apply_rule, ematch, ematch_class, eval_condition, gather_matches,
+    CondIsConst, CondNonConst, CondNonZero, CondPred, Matcher, PatVar, Rule,
+    apply_matches, apply_rule, ematch, eval_condition, gather_matches,
     instantiate, pattern_vars,
 )
-from caviar.rules import parse_rules
+from caviar.rules import default_nppd_patterns, default_ruleset, parse_rules
+
+from .helpers import assert_canonical_storage, oracle_ematch, random_bool_expr
 
 
 def pat(src):
@@ -62,7 +64,7 @@ def test_ematch_matches_folded_constants():
 
 def test_ematch_class_dedup():
     g, root = from_expr(parse_infix("a + b"))
-    subs = ematch_class(g, pat("?x"), root)
+    subs = list(Matcher(pat("?x")).match_class(g, root))
     assert len(subs) == 1
 
 
@@ -143,3 +145,65 @@ def test_gather_matches_is_frozen_snapshot():
     assert len(ms) == 1
     g.add(ENode("+", None, (g.add(leaf("var", "b")), g.add(leaf("int", 0)))))
     assert len(ms) == 1
+
+
+def test_tick_can_stop_a_class_with_many_matches():
+    # one class with 400 `+` e-nodes: a search must produce its matches one
+    # at a time, so that the engine's deadline tick stops it mid-class
+    g = EGraph()
+    leaves = [g.add(leaf("var", f"a{i}")) for i in range(20)]
+    sums = [g.add(ENode("+", None, (a, b))) for a in leaves for b in leaves]
+    for s in sums:
+        g.union(sums[0], s)
+    g.rebuild()
+    pulled = []
+
+    class CountingNodes(list):
+        def __iter__(self):
+            for n in list.__iter__(self):
+                pulled.append(n)
+                yield n
+
+    g.classes_by_op()  # index first: count only the matcher's reads
+    big = g.classes[g.find(sums[0])]
+    big.nodes = CountingNodes(big.nodes)
+    assert len(big.nodes) == 400
+
+    class Deadline(Exception):
+        pass
+
+    def tick():
+        if len(pulled) >= 256:
+            raise Deadline
+
+    with pytest.raises(Deadline):
+        gather_matches(g, rule("(rule add-comm (+ ?a ?b) (+ ?b ?a))"), tick=tick)
+    assert len(pulled) == 257
+
+
+def test_compiled_matcher_agrees_with_interpretive_oracle():
+    # every default rule lhs and NPPD pattern, and ground variables, on
+    # graphs saturated for a few iterations so that classes hold many
+    # merged, re-canonicalized e-nodes
+    rules = default_ruleset().rules
+    extra = [pat(src) for src in ("(+ x ?a)", "(< ?a (+ y ?a))", "(max ?a x)")]
+    compiled = ([(r.matcher, r.lhs) for r in rules]
+                + [(p.matcher, p.pattern) for p in default_nppd_patterns()]
+                + [(Matcher(p), p) for p in extra])
+    matched, hit = 0, set()
+    for seed in range(16):
+        g, _ = from_expr(random_bool_expr(random.Random(seed), 4))
+        for _ in range(3):
+            assert_canonical_storage(g)
+            for i, (matcher, p) in enumerate(compiled):
+                got = list(matcher.search(g))
+                assert got == oracle_ematch(g, p), (seed, p)
+                matched += len(got)
+                if got:
+                    hit.add(i)
+            ms = [gather_matches(g, r) for r in rules]
+            for r, m in zip(rules, ms):
+                apply_matches(g, r, m)
+            g.rebuild()
+    # the comparison is only as strong as the matches it saw
+    assert matched > 2000 and len(hit) > 90
