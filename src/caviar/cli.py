@@ -143,12 +143,11 @@ def _cmd_prove(args) -> int:
     print(f"config: {_config_name(cfg)}", file=sys.stderr)
 
     if args.expr is not None:
-        try:
-            expr = parse_infix(args.expr)
-        except (ParseError, SortError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         row = prove_line((1, args.expr), rules, patterns, cfg)
+        if row.outcome == "error":
+            print(f"error: {row.stop_reason.removeprefix('parse_error: ')}",
+                  file=sys.stderr)
+            return 2
         rows = [row]
     else:
         try:

@@ -1,9 +1,11 @@
 """E-graph: hashconsed e-nodes in e-classes under a union-find.
 
-Congruence is maintained by deferred rebuilding: unions mark classes dirty
-and `rebuild` repairs the hashcons/congruence invariants to a fixed point.
-After `rebuild`, each class's stored `nodes` list is canonical (every child
-is its own `find`) and duplicate-free, so readers use it as stored.
+Congruence is maintained by deferred rebuilding: unions queue classes for
+repair and `rebuild` repairs the hashcons/congruence invariants to a fixed
+point. After `rebuild`, each class's stored `nodes` list is canonical (every
+child is its own `find`) and duplicate-free, so readers use it as stored.
+Only the classes a union or a repair touched can break that, so `rebuild`
+re-canonicalizes those alone.
 The union-find keeps the smallest member id as the canonical representative,
 which makes class ids (and everything derived from them) deterministic.
 """
@@ -44,6 +46,9 @@ class EGraph:
         self.classes: dict[EClassId, EClass] = {}
         self.hashcons: dict[ENode, EClassId] = {}
         self._worklist: list[EClassId] = []
+        # classes whose stored nodes may be stale or duplicated: the kept
+        # class of every union and every parent class a repair visits
+        self._stale: set[EClassId] = set()
         # bumped on every structural change; the saturation engine compares
         # it across an iteration to detect saturation
         self.version = 0
@@ -66,8 +71,13 @@ class EGraph:
     # -- construction ------------------------------------------------------
 
     def add(self, n: ENode) -> EClassId:
-        n = self.canonicalize(n)
+        # the rhs builder and `add_expr` pass canonical children, so try the
+        # node as given first; a stale key found here still names a
+        # congruent class, so the answer is right for any caller
         existing = self.hashcons.get(n)
+        if existing is None and n.children:
+            n = self.canonicalize(n)
+            existing = self.hashcons.get(n)
         if existing is not None:
             return self.find(existing)
         cid = len(self._uf)
@@ -111,23 +121,24 @@ class EGraph:
         if changed:
             self._materialize_const(keep)
         self._worklist.append(keep)
+        self._stale.add(keep)
         self.version += 1
         return keep
 
     # -- rebuilding --------------------------------------------------------
 
     def rebuild(self) -> None:
-        dirty = bool(self._worklist)
         while self._worklist:
             todo = dict.fromkeys(map(self.find, self._worklist))
             self._worklist = []
             for c in todo:
                 self._repair(self.find(c))
-        if dirty:
-            # the one place that keeps stored nodes canonical and duplicate-
-            # free; `_repair` rewrites only the parent lists
-            for cls in self.classes.values():
-                cls.nodes = list(dict.fromkeys(map(self.canonicalize, cls.nodes)))
+        # the one place that keeps stored nodes canonical and duplicate-free;
+        # `_repair` rewrites only the parent lists
+        for cid in {self.find(c) for c in self._stale}:
+            cls = self.classes[cid]
+            cls.nodes = list(dict.fromkeys(map(self.canonicalize, cls.nodes)))
+        self._stale.clear()
 
     def _repair(self, cid: EClassId) -> None:
         cls = self.classes[cid]
@@ -139,6 +150,7 @@ class EGraph:
             self.hashcons.pop(pnode, None)
             pnode2 = self.canonicalize(pnode)
             pclass = self.find(pclass)
+            self._stale.add(pclass)
             prev = new_parents.get(pnode2)
             if prev is not None:
                 pclass = self.union(prev, pclass)

@@ -184,10 +184,13 @@ def run_saturation(g: EGraph, root: EClassId, rules, cfg: EngineConfig,
             return StopReason(clock.stop_kind)
 
         version_before = g.version
+        # a rule whose lhs has an operator the graph lacks cannot match it
+        present = g.classes_by_op().keys()
+        active = [rule for rule in rules if rule.ops <= present]
         try:
-            all_matches = [gather_matches(g, rule, tick=match_tick) for rule in rules]
+            all_matches = [gather_matches(g, rule, tick=match_tick) for rule in active]
             unions = sum(apply_matches(g, rule, ms, tick=apply_tick)
-                         for rule, ms in zip(rules, all_matches))
+                         for rule, ms in zip(active, all_matches))
         except _AbortRun as abort:
             # the iteration is abandoned mid-flight; restore invariants so
             # the final goal check and extraction still work

@@ -113,6 +113,17 @@ def sort_of(e: Expr, var_sorts: dict[str, str] | None = None) -> str:
     raise TypeError(f"not an Expr: {e!r}")
 
 
+def root_sort(e: Expr) -> str:
+    """Sort of an expression's root node alone; its operands are not checked."""
+    if isinstance(e, (Var, IntConst)):
+        return INT
+    if isinstance(e, BoolConst):
+        return BOOL
+    if isinstance(e, Unary):
+        return INT if e.op == "neg" else BOOL
+    return INT if e.op in ARITH_OPS else BOOL
+
+
 def apply_op(op: str, *args):
     """Total operator semantics shared by the evaluator and constant folding."""
     if op == "+":
@@ -251,7 +262,9 @@ class _InfixParser:
             raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", off)
 
     def _check(self, e: Expr, want: str, off: int) -> Expr:
-        got = sort_of(e)
+        # every operand was checked when it was built, so its root's sort
+        # is its sort; a whole `sort_of` here made parsing quadratic in depth
+        got = root_sort(e)
         if got != want:
             raise SortError(f"expected {want}-sorted operand, got {got}", off)
         return e

@@ -18,53 +18,70 @@ def _node_key(n: ENode):
     return (_OP_ORDINAL[n.op], n.children, repr(n.payload))
 
 
-def _node_cost(cm: str, child_costs: list[int]) -> int:
-    if cm == AST_DEPTH:
-        return 1 + max(child_costs, default=0)
-    return 1 + sum(child_costs)
-
-
-def extract_best(g: EGraph, root: EClassId, cost_model: str = AST_SIZE) -> tuple[Expr, int]:
-    """Minimum-cost representative of a class, by fixed-point relaxation.
-
-    Ties are broken by operator ordinal, then by the children's canonical
-    class ids, so extraction is deterministic for a given graph. Reads the
-    stored e-nodes, so the graph must be rebuilt.
-    """
-    root = g.find(root)
-    best: dict[EClassId, tuple[int, ENode]] = {}
+def _class_costs(g: EGraph, depth: bool) -> dict[EClassId, int]:
+    """The least cost of a finite term of each class that has one, by
+    relaxing integer costs to their fixed point."""
+    cost: dict[EClassId, int] = {}
     changed = True
     while changed:
         changed = False
         for cid, cls in g.classes.items():
+            old = best = cost.get(cid)
             for n in cls.nodes:
-                entries = [best.get(c) for c in n.children]
-                if None in entries:
-                    continue
-                cand = (_node_cost(cost_model, [e[0] for e in entries]), n)
-                cur = best.get(cid)
-                if cur is None or cand[0] < cur[0] or (
-                        cand[0] == cur[0] and _node_key(cand[1]) < _node_key(cur[1])):
-                    best[cid] = cand
-                    changed = True
+                c = _node_cost(n, cost, depth)
+                if c is not None and (best is None or c < best):
+                    best = c
+            if best != old:
+                cost[cid] = best
+                changed = True
+    return cost
 
-    entry = best.get(root)
-    if entry is None:
+
+def _node_cost(n: ENode, cost: dict[EClassId, int], depth: bool) -> int | None:
+    """An e-node's cost from its children's, or None if one has none yet."""
+    ks = [cost.get(c) for c in n.children]
+    if None in ks:
+        return None
+    return 1 + (max(ks, default=0) if depth else sum(ks))
+
+
+def extract_best(g: EGraph, root: EClassId, cost_model: str = AST_SIZE) -> tuple[Expr, int]:
+    """Minimum-cost representative of a class.
+
+    Integer costs are relaxed to their fixed point first; then each class
+    the term reaches picks, once, its e-node of least cost, ties broken by
+    operator ordinal, then by the children's canonical class ids, so
+    extraction is deterministic for a given graph. Reads the stored e-nodes,
+    so the graph must be rebuilt.
+    """
+    root = g.find(root)
+    depth = cost_model == AST_DEPTH
+    cost = _class_costs(g, depth)
+    if root not in cost:
         raise RuntimeError(f"class {root} has no extractable finite term")
+    terms: dict[EClassId, Expr] = {}
 
     def build(cid: EClassId) -> Expr:
-        cost, n = best[cid]
+        term = terms.get(cid)
+        if term is not None:
+            return term
+        k = cost[cid]
+        n = min((n for n in g.classes[cid].nodes if _node_cost(n, cost, depth) == k),
+                key=_node_key)
         if n.op == "var":
-            return Var(n.payload)
-        if n.op == "int":
-            return IntConst(n.payload)
-        if n.op == "bool":
-            return BoolConst(n.payload)
-        if len(n.children) == 1:
-            return Unary(n.op, build(n.children[0]))
-        return Binary(n.op, build(n.children[0]), build(n.children[1]))
+            term = Var(n.payload)
+        elif n.op == "int":
+            term = IntConst(n.payload)
+        elif n.op == "bool":
+            term = BoolConst(n.payload)
+        elif len(n.children) == 1:
+            term = Unary(n.op, build(n.children[0]))
+        else:
+            term = Binary(n.op, build(n.children[0]), build(n.children[1]))
+        terms[cid] = term
+        return term
 
-    return build(root), entry[0]
+    return build(root), cost[root]
 
 
 def enumerate_terms(g: EGraph, cid: EClassId, depth: int) -> set:

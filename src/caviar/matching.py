@@ -10,6 +10,7 @@ from .egraph import EClassId, EGraph, ENode, leaf
 from .expr import (
     ARITH_OPS, BOOL, CMP_OPS, INT, LOGIC_OPS,
     Binary, BoolConst, Expr, IntConst, SortError, Unary, Var, apply_op,
+    root_sort,
 )
 
 
@@ -92,15 +93,16 @@ def check_pattern_sort(p: Pattern, expected: str, env: dict[str, str]) -> None:
 
 def pattern_root_sort(p: Pattern) -> str | None:
     """Sort determined by the pattern's root node, if any."""
-    if isinstance(p, PatVar):
-        return None
-    if isinstance(p, (Var, IntConst)):
-        return INT
-    if isinstance(p, BoolConst):
-        return BOOL
+    return None if isinstance(p, PatVar) else root_sort(p)
+
+
+def pattern_ops(p: Pattern) -> frozenset[str]:
+    """Operator symbols of a pattern's `Unary`/`Binary` nodes."""
     if isinstance(p, Unary):
-        return INT if p.op == "neg" else BOOL
-    return INT if p.op in ARITH_OPS else BOOL
+        return pattern_ops(p.child) | {p.op}
+    if isinstance(p, Binary):
+        return pattern_ops(p.left) | pattern_ops(p.right) | {p.op}
+    return frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +222,26 @@ class Rule:
     rhs: Pattern
     cond: Condition | None = None
 
+    def __reduce__(self):
+        # pickles without the compiled forms, which hold closures
+        return (Rule, (self.name, self.lhs, self.rhs, self.cond))
+
     @cached_property
     def matcher(self) -> Matcher:
         """The lhs compiled for e-matching, built on first use."""
         return Matcher(self.lhs)
+
+    @cached_property
+    def ops(self) -> frozenset[str]:
+        """The lhs's operator symbols: the rule can match only a graph that
+        holds an e-node of each (leaves are left out, so this is safe)."""
+        return pattern_ops(self.lhs)
+
+    @cached_property
+    def build(self):
+        """The rhs compiled into `build(g, subst) -> EClassId`, which adds
+        its e-nodes under a substitution; built on first use."""
+        return _compile_rhs(self.rhs)
 
     def validate(self) -> dict[str, str]:
         """Check sort consistency and variable scoping; returns var sorts."""
@@ -248,6 +266,12 @@ class Rule:
 # E-matching: patterns compile once to nested closures over the stored
 # e-nodes, which `rebuild` keeps canonical; match only a rebuilt graph.
 
+def _leaf_node(p: Var | IntConst | BoolConst) -> ENode:
+    if isinstance(p, Var):
+        return leaf("var", p.name)
+    return leaf("bool" if isinstance(p, BoolConst) else "int", p.value)
+
+
 def _compile(p: Pattern, names: list[str]):
     """Matcher `m(g, cid, vals)` for `p` at class `cid`: an iterable, lazy
     for operators, of the extensions of the binding tuple `vals` under which
@@ -260,8 +284,7 @@ def _compile(p: Pattern, names: list[str]):
         names.append(p.name)
         return lambda g, cid, vals: (vals + (cid,),)
     if isinstance(p, (Var, IntConst, BoolConst)):
-        node = (leaf("var", p.name) if isinstance(p, Var) else
-                leaf("bool" if isinstance(p, BoolConst) else "int", p.value))
+        node = _leaf_node(p)
         return lambda g, cid, vals: (vals,) if node in g.classes[cid].nodes else ()
     op = p.op
     if isinstance(p, Unary):
@@ -312,20 +335,22 @@ def ematch(g: EGraph, p: Pattern):
     return Matcher(p).search(g)
 
 
-def instantiate(g: EGraph, p: Pattern, subst: Substitution) -> EClassId:
-    """Add the e-nodes for a pattern under a substitution; returns the class."""
+def _compile_rhs(p: Pattern):
+    """Builder `b(g, subst)` that adds the e-nodes of `p` under `subst` and
+    returns the class. Its children are fresh `find` results or classes
+    `add` just returned, so `add` can look the node up as given."""
     if isinstance(p, PatVar):
-        return g.find(subst[p.name])
-    if isinstance(p, Var):
-        return g.add(leaf("var", p.name))
-    if isinstance(p, IntConst):
-        return g.add(leaf("int", p.value))
-    if isinstance(p, BoolConst):
-        return g.add(leaf("bool", p.value))
+        name = p.name
+        return lambda g, subst: g.find(subst[name])
+    if isinstance(p, (Var, IntConst, BoolConst)):
+        node = _leaf_node(p)
+        return lambda g, subst: g.add(node)
+    op = p.op
     if isinstance(p, Unary):
-        return g.add(ENode(p.op, None, (instantiate(g, p.child, subst),)))
-    return g.add(ENode(p.op, None,
-                       (instantiate(g, p.left, subst), instantiate(g, p.right, subst))))
+        child = _compile_rhs(p.child)
+        return lambda g, subst: g.add(ENode(op, None, (child(g, subst),)))
+    left, right = _compile_rhs(p.left), _compile_rhs(p.right)
+    return lambda g, subst: g.add(ENode(op, None, (left(g, subst), right(g, subst))))
 
 
 def gather_matches(g: EGraph, rule: Rule,
@@ -351,11 +376,11 @@ def apply_matches(g: EGraph, rule: Rule,
 
     `tick` is called periodically, as in gather_matches.
     """
-    unions = 0
+    unions, build = 0, rule.build
     for i, (cid, subst) in enumerate(matches):
         if tick is not None and (i & 0xFF) == 0:
             tick()
-        new = instantiate(g, rule.rhs, subst)
+        new = build(g, subst)
         before = g.find(cid)
         if g.find(new) != before:
             g.union(before, new)

@@ -5,11 +5,12 @@ from __future__ import annotations
 import random
 
 from caviar.egraph import EGraph, ENode, leaf
+from caviar.extraction import AST_DEPTH, _node_key
 from caviar.expr import (
     ARITH_OPS, CMP_OPS, LOGIC_OPS,
     Binary, BoolConst, Expr, IntConst, Unary, Var, evaluate, free_vars,
 )
-from caviar.matching import PatVar
+from caviar.matching import PatVar, apply_matches, gather_matches
 
 VALUE_POOL = [-100, -17, -10, -8, -7, -5, -4, -3, -2, -1, 0,
               1, 2, 3, 4, 5, 7, 8, 10, 17, 100, 1 << 40, -(1 << 40)]
@@ -65,6 +66,16 @@ def exprs_agree(a: Expr, b: Expr, rng: random.Random, trials: int = 200) -> bool
         if evaluate(a, env) != evaluate(b, env):
             return False
     return True
+
+
+def saturate(g: EGraph, rules, iterations: int) -> None:
+    """Run saturation iterations: gather every rule's matches against the
+    frozen graph, apply them all, rebuild."""
+    for _ in range(iterations):
+        ms = [gather_matches(g, r) for r in rules]
+        for r, m in zip(rules, ms):
+            apply_matches(g, r, m)
+        g.rebuild()
 
 
 def random_congruence_graph(rng: random.Random, max_nodes: int = 30):
@@ -218,3 +229,41 @@ def oracle_ematch(g: EGraph, p) -> list[tuple[int, dict]]:
     candidates = sorted({g.find(cid) for cid in g.classes
                          if op is None or any(n.op == op for n in oracle_nodes(g, cid))})
     return [(cid, s) for cid in candidates for s in oracle_ematch_class(g, p, cid)]
+
+
+# ---------------------------------------------------------------------------
+# Extraction by fixed-point relaxation over (cost, e-node) pairs: the
+# reference `extract_best` is tested against.
+
+def oracle_extract_best(g: EGraph, root: int, cost_model: str) -> tuple[Expr, int]:
+    root = g.find(root)
+    best: dict[int, tuple[int, ENode]] = {}
+    changed = True
+    while changed:
+        changed = False
+        for cid, cls in g.classes.items():
+            for n in cls.nodes:
+                entries = [best.get(c) for c in n.children]
+                if None in entries:
+                    continue
+                costs = [e[0] for e in entries]
+                cost = 1 + (max(costs, default=0) if cost_model == AST_DEPTH else sum(costs))
+                cur = best.get(cid)
+                if cur is None or cost < cur[0] or (
+                        cost == cur[0] and _node_key(n) < _node_key(cur[1])):
+                    best[cid] = (cost, n)
+                    changed = True
+
+    def build(cid: int) -> Expr:
+        n = best[cid][1]
+        if n.op == "var":
+            return Var(n.payload)
+        if n.op == "int":
+            return IntConst(n.payload)
+        if n.op == "bool":
+            return BoolConst(n.payload)
+        if len(n.children) == 1:
+            return Unary(n.op, build(n.children[0]))
+        return Binary(n.op, build(n.children[0]), build(n.children[1]))
+
+    return build(root), best[root][0]

@@ -10,7 +10,9 @@ from caviar.engine import (
     EngineConfig, GOAL_FOUND, ITER_LIMIT, NODE_LIMIT, NON_PROVABLE_DETECTED,
     SATURATED, TIME_LIMIT, max_pulses, prove, prove_pulsed, simplify,
 )
+from caviar.corpusgen import corpus_text
 from caviar.expr import BoolConst, SortError, parse_infix, print_infix
+from caviar.harness import read_dataset
 from caviar.rules import default_nppd_patterns, default_ruleset, parse_rules
 
 RULES = default_ruleset().rules
@@ -219,3 +221,20 @@ def test_config_validation():
         EngineConfig(goals=[parse_infix("x < 1")])
     with pytest.raises(ValueError):
         EngineConfig(pulse_iters=0)
+
+
+def test_work_counters_pinned():
+    # the search itself, pinned: a faster engine must do exactly this work
+    c = cfg(deterministic=True, iter_limit=6, pulse_iters=2,
+            ilc_enabled=False, nppd_enabled=False)
+    total = dict(iterations=0, pulses=0, matches=0, unions=0, enodes=0)
+    for name in ("provable.txt", "nonprovable.txt", "nearmiss.txt", "blowup.txt"):
+        for _, src in read_dataset(corpus_text(name))[:10]:
+            r = prove_pulsed(parse_infix(src), RULES, NPPD, c, extract=False)
+            total["iterations"] += r.iterations
+            total["pulses"] += r.pulses
+            total["matches"] += sum(s.matches for s in r.report.iterations)
+            total["unions"] += sum(s.unions for s in r.report.iterations)
+            total["enodes"] += r.enodes
+    assert total == dict(iterations=150, pulses=50, matches=2208, unions=1361,
+                         enodes=174)

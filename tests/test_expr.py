@@ -76,6 +76,19 @@ def test_sort_errors():
         parse_infix("true < false")
 
 
+def test_parse_deep_sum_checks_sorts_in_linear_time():
+    # each operand's sort is checked once, at its root; re-checking whole
+    # operands made this quadratic and overflowed the recursion limit
+    e = parse_infix(" + ".join(["x"] * 1200) + " <= 0")
+    assert e.op == "<=" and e.right == IntConst(0)
+    depth, left = 0, e.left
+    while isinstance(left, Binary):
+        depth, left = depth + 1, left.left
+    assert depth == 1199 and left == Var("x")
+    with pytest.raises(SortError):
+        parse_infix(" + ".join(["x"] * 1200) + " + (x < 0)")
+
+
 def test_sort_of():
     assert sort_of(parse_infix("a + b")) == "int"
     assert sort_of(parse_infix("a <= b")) == "bool"

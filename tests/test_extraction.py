@@ -8,7 +8,10 @@ from caviar.extraction import AST_DEPTH, AST_SIZE, enumerate_terms, extract_best
 from caviar.matching import apply_rule
 from caviar.rules import default_ruleset, parse_rules
 
-from .helpers import exprs_agree, random_int_expr
+from .helpers import (
+    exprs_agree, oracle_extract_best, random_congruence_graph, random_expr,
+    random_int_expr, saturate,
+)
 
 SHRINKING_RULES = parse_rules("""
 (rule add-zero (+ ?a 0) ?a)
@@ -86,3 +89,23 @@ def test_extracted_term_is_equivalent():
         best, _ = extract_best(g, root, AST_SIZE)
         assert free_vars(best) <= free_vars(e) | set()
         assert exprs_agree(e, best, rng, trials=100), (seed, e, best)
+
+
+def test_extract_best_agrees_with_relaxation_oracle():
+    # plain random graphs, and graphs after a few iterations of the default
+    # rules, whose classes hold many tied and cyclic e-nodes
+    rules = default_ruleset().rules
+    graphs = []
+    for seed in range(12):
+        graphs.append(random_congruence_graph(random.Random(seed))[0])
+        g, _ = from_expr(random_expr(random.Random(seed), 4))
+        saturate(g, rules, 3)
+        graphs.append(g)
+    checked = 0
+    for i, g in enumerate(graphs):
+        roots = random.Random(i).sample(sorted(g.classes), min(8, len(g.classes)))
+        for root in roots:
+            for cm in (AST_SIZE, AST_DEPTH):
+                assert extract_best(g, root, cm) == oracle_extract_best(g, root, cm), (i, root, cm)
+                checked += 1
+    assert checked > 300 and max(len(g.hashcons) for g in graphs) > 400

@@ -1,5 +1,6 @@
 """E-matching, conditions, and rewrite application semantics."""
 
+import pickle
 import random
 
 import pytest
@@ -9,11 +10,13 @@ from caviar.expr import SortError, parse_infix, parse_sexpr
 from caviar.matching import (
     CondIsConst, CondNonConst, CondNonZero, CondPred, Matcher, PatVar, Rule,
     apply_matches, apply_rule, ematch, eval_condition, gather_matches,
-    instantiate, pattern_vars,
+    pattern_vars,
 )
 from caviar.rules import default_nppd_patterns, default_ruleset, parse_rules
 
-from .helpers import assert_canonical_storage, oracle_ematch, random_bool_expr
+from .helpers import (
+    assert_canonical_storage, oracle_ematch, random_bool_expr, saturate,
+)
 
 
 def pat(src):
@@ -114,9 +117,10 @@ def test_instantiate_reuses_classes():
     g, root = from_expr(parse_infix("a + b"))
     n_before = len(g.classes)
     subst = dict(list(ematch(g, pat("(+ ?x ?y)")))[0][1])
-    cid = instantiate(g, pat("(+ ?y ?x)"), subst)
+    cid = rule("(rule flip (+ ?x ?y) (+ ?y ?x))").build(g, subst)
     assert len(g.classes) == n_before + 1  # only the flipped sum is new
     assert cid != g.find(root)
+    assert g.classes[cid].nodes == [ENode("+", None, (subst["y"], subst["x"]))]
 
 
 def test_snapshot_semantics_order_invariance():
@@ -201,9 +205,35 @@ def test_compiled_matcher_agrees_with_interpretive_oracle():
                 matched += len(got)
                 if got:
                     hit.add(i)
-            ms = [gather_matches(g, r) for r in rules]
-            for r, m in zip(rules, ms):
-                apply_matches(g, r, m)
-            g.rebuild()
+            saturate(g, rules, 1)
     # the comparison is only as strong as the matches it saw
     assert matched > 2000 and len(hit) > 90
+
+
+def test_rule_ops_filter_is_sound():
+    # a rule whose lhs has an operator the graph lacks has no match in it
+    rules = default_ruleset().rules
+    assert rule("(rule r (+ ?a (* ?b 2)) ?a)").ops == {"+", "*"}
+    assert rule("(rule r (! true) false)").ops == {"!"}
+    skipped = 0
+    for seed in range(16):
+        g, _ = from_expr(random_bool_expr(random.Random(seed), 3))
+        for _ in range(3):
+            present = g.classes_by_op().keys()
+            for r in rules:
+                if not r.ops <= present:
+                    assert list(r.matcher.search(g)) == [], (seed, r.name)
+                    skipped += 1
+            saturate(g, rules, 1)
+    assert skipped > 1000
+
+
+def test_rule_pickles_after_compiling():
+    # the compiled lhs and rhs hold closures; a rule pickles without them
+    r = rule("(rule flip (+ ?x ?y) (+ ?y ?x))")
+    g, _ = from_expr(parse_infix("a + b"))
+    assert apply_rule(g, r) == 1
+    r2 = pickle.loads(pickle.dumps(r))
+    assert r2 == r and "build" not in vars(r2)
+    g2, _ = from_expr(parse_infix("a + b"))
+    assert apply_rule(g2, r2) == 1 and g2.dump() == g.dump()
