@@ -30,7 +30,7 @@ def make(op: str, payload, child_data: tuple):
         return payload
     if op == LEAF_VAR:
         return None
-    if any(d is None for d in child_data):
+    if None in child_data:
         return None
     return apply_op(op, *child_data)
 

@@ -145,8 +145,7 @@ def _cmd_prove(args) -> int:
     if args.expr is not None:
         row = prove_line((1, args.expr), rules, patterns, cfg)
         if row.outcome == "error":
-            print(f"error: {row.stop_reason.removeprefix('parse_error: ')}",
-                  file=sys.stderr)
+            print(f"error: {row.stop_reason.partition(': ')[2]}", file=sys.stderr)
             return 2
         rows = [row]
     else:

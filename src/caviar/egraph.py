@@ -4,14 +4,16 @@ Congruence is maintained by deferred rebuilding: unions queue classes for
 repair and `rebuild` repairs the hashcons/congruence invariants to a fixed
 point. After `rebuild`, each class's stored `nodes` list is canonical (every
 child is its own `find`) and duplicate-free, so readers use it as stored.
-Only the classes a union or a repair touched can break that, so `rebuild`
-re-canonicalizes those alone.
+Only the classes a union kept or a repair re-keyed can break that, so
+`rebuild` re-canonicalizes those alone, and a repair re-keys only the parent
+e-nodes that a union made non-canonical or congruent to another.
 The union-find keeps the smallest member id as the canonical representative,
 which makes class ids (and everything derived from them) deterministic.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from . import analysis
@@ -27,15 +29,20 @@ class ENode(NamedTuple):
     children: tuple[EClassId, ...]
 
 
+# builds an e-node from an (op, payload, children) tuple at C level; the
+# NamedTuple's own constructor goes through Python-level `__new__`
+enode = partial(tuple.__new__, ENode)
+
+
 def leaf(op: str, payload) -> ENode:
-    return ENode(op, payload, ())
+    return enode((op, payload, ()))
 
 
 class EClass:
     __slots__ = ("nodes", "parents", "data")
 
-    def __init__(self):
-        self.nodes: list[ENode] = []
+    def __init__(self, node: ENode):
+        self.nodes: list[ENode] = [node]
         self.parents: list[tuple[ENode, EClassId]] = []
         self.data = None  # constant datum or None
 
@@ -47,7 +54,7 @@ class EGraph:
         self.hashcons: dict[ENode, EClassId] = {}
         self._worklist: list[EClassId] = []
         # classes whose stored nodes may be stale or duplicated: the kept
-        # class of every union and every parent class a repair visits
+        # class of every union and every parent class a repair re-keys
         self._stale: set[EClassId] = set()
         # bumped on every structural change; the saturation engine compares
         # it across an iteration to detect saturation
@@ -64,9 +71,13 @@ class EGraph:
         return a
 
     def canonicalize(self, n: ENode) -> ENode:
-        if not n.children:
-            return n
-        return ENode(n.op, n.payload, tuple(map(self.find, n.children)))
+        """`n` with every child replaced by its find; `n` itself when every
+        child is already a root."""
+        uf = self._uf
+        for c in n.children:
+            if uf[c] != c:
+                return enode((n.op, n.payload, tuple(map(self.find, n.children))))
+        return n
 
     # -- construction ------------------------------------------------------
 
@@ -74,21 +85,23 @@ class EGraph:
         # the rhs builder and `add_expr` pass canonical children, so try the
         # node as given first; a stale key found here still names a
         # congruent class, so the answer is right for any caller
-        existing = self.hashcons.get(n)
-        if existing is None and n.children:
-            n = self.canonicalize(n)
-            existing = self.hashcons.get(n)
+        hashcons = self.hashcons
+        existing = hashcons.get(n)
+        if existing is None:
+            canon = self.canonicalize(n)
+            if canon is not n:
+                n = canon
+                existing = hashcons.get(n)
         if existing is not None:
             return self.find(existing)
         cid = len(self._uf)
         self._uf.append(cid)
-        cls = EClass()
-        cls.nodes.append(n)
-        self.classes[cid] = cls
-        self.hashcons[n] = cid
+        classes = self.classes
+        cls = classes[cid] = EClass(n)
+        hashcons[n] = cid
         for c in n.children:
-            self.classes[c].parents.append((n, cid))
-        cls.data = analysis.make(n.op, n.payload, tuple(self.classes[c].data for c in n.children))
+            classes[c].parents.append((n, cid))
+        cls.data = analysis.make(n.op, n.payload, tuple([classes[c].data for c in n.children]))
         if cls.data is not None:
             self._materialize_const(cid)
         self.version += 1
@@ -113,12 +126,13 @@ class EGraph:
         keep, gone = (fa, fb) if fa < fb else (fb, fa)
         kc, gc = self.classes[keep], self.classes.pop(gone)
         self._uf[gone] = keep
-        new_data = analysis.join(kc.data, gc.data, context=f"union of classes {keep} and {gone}")
+        # the join's context is formatted only where it can raise
+        if kc.data is not None and gc.data is not None:
+            analysis.join(kc.data, gc.data, context=f"union of classes {keep} and {gone}")
         kc.nodes.extend(gc.nodes)
         kc.parents.extend(gc.parents)
-        changed = new_data is not None and kc.data is None
-        kc.data = new_data
-        if changed:
+        if kc.data is None and gc.data is not None:
+            kc.data = gc.data
             self._materialize_const(keep)
         self._worklist.append(keep)
         self._stale.add(keep)
@@ -142,32 +156,41 @@ class EGraph:
 
     def _repair(self, cid: EClassId) -> None:
         cls = self.classes[cid]
+        find, classes, hashcons = self.find, self.classes, self.hashcons
         # taken out first: a union below may merge this class, and the
         # surviving class keeps its own parents (queued for repair) plus these
         parents, cls.parents = cls.parents, []
         new_parents: dict[ENode, EClassId] = {}
         for pnode, pclass in parents:
-            self.hashcons.pop(pnode, None)
             pnode2 = self.canonicalize(pnode)
-            pclass = self.find(pclass)
-            self._stale.add(pclass)
+            pclass = find(pclass)
             prev = new_parents.get(pnode2)
+            if pnode2 is pnode and prev is None:
+                # still canonical and not congruent to an earlier parent: its
+                # hashcons key stands (readers `find` the value) and its class
+                # holds nothing stale on its account
+                new_parents[pnode] = pclass
+                continue
+            hashcons.pop(pnode, None)
+            self._stale.add(pclass)
             if prev is not None:
                 pclass = self.union(prev, pclass)
             new_parents[pnode2] = pclass
-            self.hashcons[pnode2] = pclass
-        self.classes[self.find(cid)].parents.extend(new_parents.items())
-        # propagate constant data upward
+            hashcons[pnode2] = pclass
+        classes[find(cid)].parents.extend(new_parents.items())
+        # propagate constant data upward; a parent with a child of no datum
+        # folds to nothing
         for pnode, pclass in new_parents.items():
-            pclass = self.find(pclass)
-            pcls = self.classes[pclass]
-            nd = analysis.make(
-                pnode.op, pnode.payload,
-                tuple(self.classes[self.find(c)].data for c in pnode.children),
-            )
-            joined = analysis.join(pcls.data, nd, context=f"folding into class {pclass}")
-            if joined is not None and pcls.data is None:
-                pcls.data = joined
+            pclass = find(pclass)
+            child_data = tuple([classes[find(c)].data for c in pnode.children])
+            if None in child_data:
+                continue
+            pcls = classes[pclass]
+            nd = analysis.make(pnode.op, pnode.payload, child_data)
+            if pcls.data is not None:
+                analysis.join(pcls.data, nd, context=f"folding into class {pclass}")
+            else:
+                pcls.data = nd
                 self._materialize_const(pclass)
                 self._worklist.append(pclass)
 
@@ -202,8 +225,8 @@ class EGraph:
         if isinstance(e, BoolConst):
             return self.add(leaf(LEAF_BOOL, e.value))
         if isinstance(e, Unary):
-            return self.add(ENode(e.op, None, (self.add_expr(e.child),)))
-        return self.add(ENode(e.op, None, (self.add_expr(e.left), self.add_expr(e.right))))
+            return self.add(enode((e.op, None, (self.add_expr(e.child),))))
+        return self.add(enode((e.op, None, (self.add_expr(e.left), self.add_expr(e.right)))))
 
     def dump(self) -> str:
         """Deterministic textual dump for golden tests."""

@@ -185,7 +185,7 @@ def run_saturation(g: EGraph, root: EClassId, rules, cfg: EngineConfig,
 
         version_before = g.version
         # a rule whose lhs has an operator the graph lacks cannot match it
-        present = g.classes_by_op().keys()
+        present = set(g.classes_by_op())
         active = [rule for rule in rules if rule.ops <= present]
         try:
             all_matches = [gather_matches(g, rule, tick=match_tick) for rule in active]

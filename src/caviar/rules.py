@@ -88,7 +88,7 @@ def _pattern_from_sexp(sx, line: int) -> Pattern:
             return BoolConst(False)
         if sx.startswith("?") and len(sx) > 1:
             return PatVar(sx[1:])
-        if sx.lstrip("-").isdigit() and sx != "-":
+        if sx.removeprefix("-").isdecimal():
             return IntConst(int(sx))
         if sx[0].isalpha() or sx[0] == "_":
             return Var(sx)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from caviar import analysis
 from caviar.egraph import EGraph, ENode, leaf
 from caviar.extraction import AST_DEPTH, _node_key
 from caviar.expr import (
@@ -150,6 +151,60 @@ def brute_force_congruence(added, unions):
                     if merge(id1, id2):
                         changed = True
     return find
+
+
+class OracleEGraph(EGraph):
+    """The e-graph with the full repair: every parent entry of a repaired
+    class is re-keyed in the hashcons and re-folded, and its class marked
+    stale, whether or not it changed; `union` formats its join context on
+    every call. The reference the incremental repair is tested against."""
+
+    def union(self, a, b):
+        fa, fb = self.find(a), self.find(b)
+        if fa == fb:
+            return fa
+        keep, gone = (fa, fb) if fa < fb else (fb, fa)
+        kc, gc = self.classes[keep], self.classes.pop(gone)
+        self._uf[gone] = keep
+        new_data = analysis.join(kc.data, gc.data, context=f"union of classes {keep} and {gone}")
+        kc.nodes.extend(gc.nodes)
+        kc.parents.extend(gc.parents)
+        changed = new_data is not None and kc.data is None
+        kc.data = new_data
+        if changed:
+            self._materialize_const(keep)
+        self._worklist.append(keep)
+        self._stale.add(keep)
+        self.version += 1
+        return keep
+
+    def _repair(self, cid):
+        cls = self.classes[cid]
+        parents, cls.parents = cls.parents, []
+        new_parents: dict[ENode, int] = {}
+        for pnode, pclass in parents:
+            self.hashcons.pop(pnode, None)
+            pnode2 = self.canonicalize(pnode)
+            pclass = self.find(pclass)
+            self._stale.add(pclass)
+            prev = new_parents.get(pnode2)
+            if prev is not None:
+                pclass = self.union(prev, pclass)
+            new_parents[pnode2] = pclass
+            self.hashcons[pnode2] = pclass
+        self.classes[self.find(cid)].parents.extend(new_parents.items())
+        for pnode, pclass in new_parents.items():
+            pclass = self.find(pclass)
+            pcls = self.classes[pclass]
+            nd = analysis.make(
+                pnode.op, pnode.payload,
+                tuple(self.classes[self.find(c)].data for c in pnode.children),
+            )
+            joined = analysis.join(pcls.data, nd, context=f"folding into class {pclass}")
+            if joined is not None and pcls.data is None:
+                pcls.data = joined
+                self._materialize_const(pclass)
+                self._worklist.append(pclass)
 
 
 def assert_canonical_storage(g: EGraph) -> None:

@@ -1,12 +1,15 @@
 """Command line interface behavior and exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
 from caviar.cli import main
+from caviar.corpusgen import CORPUS_NAMES, corpus_text
+from caviar.harness import read_dataset
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +70,18 @@ def test_dataset_row_errors_do_not_fail_run(tmp_path, capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[2][2] == "error"
+
+
+def test_non_decimal_digit_is_a_row_error(tmp_path, capsys):
+    # '²' is a digit to str.isdigit but not to int(); one such row must not
+    # end the run
+    p = tmp_path / "exprs.txt"
+    p.write_text("x <= x\nx < ²\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "prove", "--input", str(p), "--deterministic")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [(r[0], r[2]) for r in rows] == [("1", "proved_true"), ("2", "error")]
+    assert rows[1][3] == "parse_error: unexpected character '²' (at offset 4)"
 
 
 def test_missing_input_file(capsys):
@@ -155,3 +170,40 @@ def test_unsound_rules_fatal_exit_code(tmp_path, capsys):
                            "--deterministic", "--rules", str(rules))
     assert code == 3
     assert "contradiction" in err
+
+
+# sha256 of the `prove --deterministic` CSV for the first 10 rows of each
+# shipped corpus: any change to the search or to the report shows here
+DETERMINISTIC_REPORT_SHA256 = {
+    ("provable.txt", "default"):
+        "9cd3d89e4f690f26b35be43cdfbd215a6bd1f4742d28fa97fa7b371af49ac16b",
+    ("provable.txt", "vanilla"):
+        "f5586d2ff9f7caa63a40f3dd7934cd4a9cd9c45a2ee89d159743340603fcd163",
+    ("nonprovable.txt", "default"):
+        "5c5de997ffe439addd27640b6f2f753b464c55cbd0fe019de16605e9e35c12c0",
+    ("nonprovable.txt", "vanilla"):
+        "c37f66907a12d738c594806d94d406005160d312b514386489e9d230ea763a40",
+    ("nearmiss.txt", "default"):
+        "0f79614db255ab3a32dfe98e2df52a8b955eacc0007b0d884dbc97677170a416",
+    ("nearmiss.txt", "vanilla"):
+        "6177bfad6adf3c26b6efabb6cab16230f8bc959289a0f4d23089b31d7697e40a",
+    ("blowup.txt", "default"):
+        "b559aa3e3245682dea41bbd0e6895937ad441a7ddddd2db3295122cac2901378",
+    ("blowup.txt", "vanilla"):
+        "3483f3f0f23623cac694a3752ed1827360cfaecb69ddb49988f4592a92d69dde",
+}
+_VANILLA_FLAGS = ("--no-pulse", "--no-ilc", "--no-nppd", "--iter-limit", "3")
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+@pytest.mark.parametrize("flags", ["default", "vanilla"])
+def test_deterministic_report_pinned(tmp_path, capsys, name, flags):
+    rows = [src for _, src in read_dataset(corpus_text(name))[:10]]
+    path = tmp_path / name
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    extra = _VANILLA_FLAGS if flags == "vanilla" else ()
+    code, out, _ = run_cli(capsys, "prove", "--input", str(path),
+                           "--deterministic", *extra)
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == DETERMINISTIC_REPORT_SHA256[name, flags]

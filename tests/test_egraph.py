@@ -9,7 +9,8 @@ from caviar.egraph import EGraph, ENode, from_expr, leaf
 from caviar.expr import parse_infix
 
 from .helpers import (
-    assert_canonical_storage, brute_force_congruence, random_congruence_graph,
+    VAR_NAMES, OracleEGraph, assert_canonical_storage, brute_force_congruence,
+    random_congruence_graph,
 )
 
 
@@ -141,3 +142,60 @@ def test_version_tracks_change():
     assert g.version == v
     g.add(leaf("var", "b"))
     assert g.version > v
+
+
+def _root(uf, a):
+    """`find` without path compression, so that comparing two graphs does
+    not change either."""
+    while uf[a] != a:
+        a = uf[a]
+    return a
+
+
+def _state(g):
+    return (g.dump(), list(g._uf),
+            {n: _root(g._uf, v) for n, v in g.hashcons.items()},
+            [(cid, list(cls.nodes), list(cls.parents), cls.data)
+             for cid, cls in g.classes.items()])
+
+
+def _run_constant_script(g, rng):
+    """Seeded adds and unions over var and int leaves, rebuilt at random
+    points; returns the text of the first ConstantContradiction, if any."""
+    ids = [g.add(leaf("var", name)) for name in rng.sample(VAR_NAMES, 3)]
+    ids += [g.add(leaf("int", v)) for v in rng.sample([-2, -1, 0, 1, 2, 3], 3)]
+    states = []
+    try:
+        for _ in range(rng.randrange(10, 30)):
+            op = rng.choice(("+", "-", "*", "min", "max", "/", "%", "neg"))
+            kids = (rng.choice(ids),) if op == "neg" else (rng.choice(ids), rng.choice(ids))
+            ids.append(g.add(ENode(op, None, tuple(map(g.find, kids)))))
+        for _ in range(rng.randrange(2, 12)):
+            g.union(rng.choice(ids), rng.choice(ids))
+            if rng.random() < 0.4:
+                g.rebuild()
+                states.append(_state(g))
+        g.rebuild()
+    except ConstantContradiction as exc:
+        return states, str(exc)
+    states.append(_state(g))
+    return states, None
+
+
+def test_incremental_repair_agrees_with_full_repair_oracle():
+    # int literals and unions that give classes a datum, so folding runs and
+    # unsound unions and folds raise; every rebuild leaves the same graph,
+    # union-find and hashcons as the full repair, and every error the same text
+    errors = {"union": 0, "folding": 0}
+    folded = 0
+    for seed in range(300):
+        new, old = EGraph(), OracleEGraph()
+        got = _run_constant_script(new, random.Random(seed))
+        want = _run_constant_script(old, random.Random(seed))
+        assert got == want, seed
+        states, error = got
+        if error is not None:
+            errors["union" if "union of classes" in error else "folding"] += 1
+        folded += sum(data is not None for *_, data in states[-1][3]) if states else 0
+    assert errors["union"] >= 50 and errors["folding"] >= 30, errors
+    assert folded >= 500, folded

@@ -238,3 +238,18 @@ def test_work_counters_pinned():
             total["enodes"] += r.enodes
     assert total == dict(iterations=150, pulses=50, matches=2208, unions=1361,
                          enodes=174)
+
+
+def test_time_limit_overshoot_bounded_on_largest_rows():
+    # the six-factor blowup rows grow past 2e4 e-nodes within a second; a
+    # search or a repair that the deadline tick cannot interrupt shows here
+    # as a run that returns long after its limit
+    c = cfg(time_limit=1.0, ilc_enabled=False, nppd_enabled=False,
+            pulse_threshold=None)
+    rows = [src for _, src in read_dataset(corpus_text("blowup.txt"))
+            if src.count("*") == 6]
+    assert len(rows) == 3
+    for src in rows:
+        t = time.monotonic()
+        prove(parse_infix(src), RULES, [], c, extract=False)
+        assert time.monotonic() - t < c.time_limit + 1.5, src

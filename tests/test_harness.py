@@ -91,3 +91,11 @@ def test_parallel_preserves_order_and_results():
     seq = run_dataset(DATASET, RULES, NPPD, det_cfg(), jobs=1)
     par = run_dataset(DATASET, RULES, NPPD, det_cfg(), jobs=3)
     assert [r.__dict__ for r in par] == [r.__dict__ for r in seq]
+
+
+def test_too_deep_row_is_an_error_row():
+    # parses, but the engine's recursive term walks exceed Python's stack
+    deep = " + ".join(["x"] * 1200) + " <= 0"
+    rows = run_dataset(f"x <= x\n{deep}\nx < x\n", RULES, NPPD, det_cfg())
+    assert [r.outcome for r in rows] == ["proved_true", "error", "proved_false"]
+    assert rows[1].stop_reason == "depth_error: expression nests too deeply"

@@ -59,6 +59,20 @@ def test_ematch_ground_literal():
     assert len(list(ematch(g, pat("(+ ?a 2)")))) == 0
 
 
+def test_leaf_pattern_matches_a_merged_leaf_class():
+    # leaves added after the class they merge into keep hashcons entries
+    # that name their old id; matching must go through find
+    g, root = from_expr(parse_infix("(a + b) * c"))
+    ab = g.add_expr(parse_infix("a + b"))
+    c = g.add(leaf("var", "c"))
+    g.union(ab, g.add(leaf("var", "w")))
+    g.union(ab, g.add(leaf("int", 7)))
+    g.rebuild()
+    assert list(ematch(g, pat("(* w ?y)"))) == [(root, {"y": c})]
+    assert list(ematch(g, pat("(* 7 ?y)"))) == [(root, {"y": c})]
+    assert list(ematch(g, pat("(* ?y 7)"))) == []
+
+
 def test_ematch_matches_folded_constants():
     # 2 + 3 folds to 5; a literal-5 pattern must match the sum's class
     g, root = from_expr(parse_infix("(2 + 3) % x"))
