@@ -9,13 +9,13 @@ from .engine import (
     prove, prove_pulsed, simplify,
 )
 from .expr import (
-    Binary, BoolConst, Expr, IntConst, ParseError, SortError, Unary,
+    Binary, BoolConst, Expr, IntConst, ParseError, PatVar, SortError, Unary,
     UnboundVariable, Var, evaluate, parse_infix, parse_sexpr, print_infix,
     print_sexpr,
 )
 from .extraction import AST_DEPTH, AST_SIZE, extract_best
 from .harness import emit_report, run_dataset, summarize
-from .matching import PatVar, Rule, apply_rule, ematch
+from .matching import Rule, apply_rule, ematch
 from .rules import (
     NPPattern, Ruleset, default_nppd_patterns, default_ruleset,
     load_nppd, load_rules, parse_nppd, parse_rules,

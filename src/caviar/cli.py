@@ -176,12 +176,7 @@ def _cmd_simplify(args) -> int:
     cfg = _build_config(args, proving=False)
     rules = _load_rules(args)
     print(f"config: {_config_name(cfg)}", file=sys.stderr)
-    try:
-        expr = parse_infix(args.expr)
-    except (ParseError, SortError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    res = simplify(expr, rules, cfg, cost_model=args.cost)
+    res = simplify(parse_infix(args.expr), rules, cfg, cost_model=args.cost)
     print(print_infix(res.best_expr))
     print(f"cost={res.cost} stop={res.stop} iterations={res.iterations} "
           f"classes={res.classes} enodes={res.enodes}", file=sys.stderr)
@@ -200,6 +195,10 @@ def main(argv=None) -> int:
         return 3
     except (ParseError, SortError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the engine's term walks recurse once per nesting level
+        print("error: expression nests too deeply", file=sys.stderr)
         return 2
 
 

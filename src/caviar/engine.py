@@ -62,8 +62,12 @@ class EngineConfig:
     def __post_init__(self):
         if self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
-        if self.pulse_threshold is not None and self.pulse_threshold > self.time_limit:
-            raise ValueError("pulse_threshold must not exceed time_limit")
+        if self.pulse_threshold is not None:
+            # a zero pulse period restarts without ever saturating
+            if self.pulse_threshold <= 0:
+                raise ValueError("pulse_threshold must be positive")
+            if self.pulse_threshold > self.time_limit:
+                raise ValueError("pulse_threshold must not exceed time_limit")
         if self.pulse_iters < 1:
             raise ValueError("pulse_iters must be positive")
         for gexpr in self.goals:

@@ -7,6 +7,7 @@ the divisor's sign), and x/0 = x%0 = 0 so evaluation is total.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -17,28 +18,26 @@ BOOL = "bool"
 ARITH_OPS = ("+", "-", "*", "/", "%", "min", "max")  # int x int -> int
 CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")         # int x int -> bool
 LOGIC_OPS = ("&&", "||")                             # bool x bool -> bool
-BINARY_OPS = ARITH_OPS + CMP_OPS + LOGIC_OPS
 UNARY_OPS = ("neg", "!")
 
 
 class ExprError(Exception):
-    """Base class for expression-language errors."""
+    """Base class for expression-language errors; `message` is the text
+    without the offset suffix."""
+
+    def __init__(self, message: str, offset: int | None = None):
+        self.message, self.offset = message, offset
+        if offset is not None:
+            message = f"{message} (at offset {offset})"
+        super().__init__(message)
 
 
 class ParseError(ExprError):
-    def __init__(self, message: str, offset: int | None = None):
-        self.offset = offset
-        if offset is not None:
-            message = f"{message} (at offset {offset})"
-        super().__init__(message)
+    pass
 
 
 class SortError(ExprError):
-    def __init__(self, message: str, offset: int | None = None):
-        self.offset = offset
-        if offset is not None:
-            message = f"{message} (at offset {offset})"
-        super().__init__(message)
+    pass
 
 
 class UnboundVariable(ExprError):
@@ -73,55 +72,77 @@ class Binary:
     right: "Expr"
 
 
+@dataclass(frozen=True)
+class PatVar:
+    """A pattern variable, written `?name`: a hole that a rule's lhs binds."""
+    name: str
+
+
 Expr = Union[Var, IntConst, BoolConst, Unary, Binary]
+Pattern = Union[Expr, PatVar]  # a term with holes
 
 Assignment = dict  # variable name -> int or bool
 
+# operator -> (operand sort, result sort): the one definition of the
+# operators' sorts, read by the parsers, `sort_of` and `root_sort`
+SIGNATURES = {
+    **{op: (INT, INT) for op in ARITH_OPS},
+    **{op: (INT, BOOL) for op in CMP_OPS},
+    **{op: (BOOL, BOOL) for op in LOGIC_OPS},
+    "neg": (INT, INT), "!": (BOOL, BOOL),
+}
 
-def sort_of(e: Expr, var_sorts: dict[str, str] | None = None) -> str:
-    """Sort of a well-sorted expression; raises SortError otherwise.
+
+def _signature(op: str) -> tuple[str, str]:
+    try:
+        return SIGNATURES[op]
+    except KeyError:
+        raise SortError(f"unknown operator {op!r}") from None
+
+
+def sort_of(e: Pattern, pat_sorts: dict[str, str] | None = None,
+            hole: str | None = None) -> str:
+    """Sort of a well-sorted term; raises SortError otherwise.
 
     Variables are integer-sorted (the corpus language has no boolean
-    variables) unless `var_sorts` overrides a name.
+    variables). A pattern variable takes the sort its position asks for,
+    `hole` at the root, and records it in `pat_sorts`; a name asked for at
+    two sorts is an error.
     """
-    if isinstance(e, Var):
-        if var_sorts is not None:
-            return var_sorts.get(e.name, INT)
-        return INT
-    if isinstance(e, IntConst):
-        return INT
-    if isinstance(e, BoolConst):
-        return BOOL
-    if isinstance(e, Unary):
-        want = INT if e.op == "neg" else BOOL
-        got = sort_of(e.child, var_sorts)
-        if got != want:
-            raise SortError(f"operator {e.op!r} expects {want} operand, got {got}")
-        return want
     if isinstance(e, Binary):
-        ls = sort_of(e.left, var_sorts)
-        rs = sort_of(e.right, var_sorts)
-        if e.op in ARITH_OPS or e.op in CMP_OPS:
-            if ls != INT or rs != INT:
-                raise SortError(f"operator {e.op!r} expects int operands, got {ls}, {rs}")
-            return INT if e.op in ARITH_OPS else BOOL
-        if e.op in LOGIC_OPS:
-            if ls != BOOL or rs != BOOL:
-                raise SortError(f"operator {e.op!r} expects bool operands, got {ls}, {rs}")
-            return BOOL
-        raise SortError(f"unknown operator {e.op!r}")
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-def root_sort(e: Expr) -> str:
-    """Sort of an expression's root node alone; its operands are not checked."""
+        arg, res = _signature(e.op)
+        ls, rs = sort_of(e.left, pat_sorts, arg), sort_of(e.right, pat_sorts, arg)
+        if ls != arg or rs != arg:
+            raise SortError(f"operator {e.op!r} expects {arg} operands, got {ls}, {rs}")
+        return res
+    if isinstance(e, Unary):
+        arg, res = _signature(e.op)
+        got = sort_of(e.child, pat_sorts, arg)
+        if got != arg:
+            raise SortError(f"operator {e.op!r} expects {arg} operand, got {got}")
+        return res
     if isinstance(e, (Var, IntConst)):
         return INT
     if isinstance(e, BoolConst):
         return BOOL
-    if isinstance(e, Unary):
-        return INT if e.op == "neg" else BOOL
-    return INT if e.op in ARITH_OPS else BOOL
+    if isinstance(e, PatVar):
+        if hole is None or pat_sorts is None:
+            raise SortError(f"cannot determine the sort of ?{e.name}")
+        prev = pat_sorts.setdefault(e.name, hole)
+        if prev != hole:
+            raise SortError(f"pattern variable ?{e.name} used at sorts {prev} and {hole}")
+        return hole
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+def root_sort(e: Pattern) -> str | None:
+    """Sort of a term's root node alone, its operands unchecked; None for a
+    pattern variable, whose sort its context decides."""
+    if isinstance(e, (Unary, Binary)):
+        return SIGNATURES[e.op][1]
+    if isinstance(e, BoolConst):
+        return BOOL
+    return None if isinstance(e, PatVar) else INT
 
 
 def apply_op(op: str, *args):
@@ -163,9 +184,10 @@ def apply_op(op: str, *args):
     raise ValueError(f"unknown operator {op!r}")
 
 
-def evaluate(e: Expr, a: Assignment):
-    """Evaluate a fully bound expression. Total on well-sorted input."""
-    if isinstance(e, Var):
+def evaluate(e: Pattern, a: Assignment):
+    """Evaluate a fully bound term; a pattern variable reads `a` as a
+    variable does. Total on well-sorted input."""
+    if isinstance(e, (Var, PatVar)):
         try:
             return a[e.name]
         except KeyError:
@@ -198,15 +220,32 @@ def free_vars(e: Expr) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
-# Infix grammar (C-style precedence):
-#   expr := or; or := and ('||' and)*; and := cmp ('&&' cmp)*;
-#   cmp := sum (cmpop sum)?; sum := term (('+'|'-') term)*;
-#   term := unary (('*'|'/'|'%') unary)*; unary := ('-'|'!') unary | atom;
-#   atom := int | 'true' | 'false' | ident | 'min(' e ',' e ')'
-#         | 'max(' e ',' e ')' | '(' expr ')'
+# Infix grammar (C-style precedence, one level per `_PREC` value; binary
+# operators associate to the left, and comparisons do not chain):
+#   expr := unary (binop unary)*; unary := ('-'|'!') unary | atom;
+#   atom := int | 'true' | 'false' | ident | 'min(' expr ',' expr ')'
+#         | 'max(' expr ',' expr ')' | '(' expr ')'
+
+_PREC = {"||": 1, "&&": 2, "<": 3, "<=": 3, ">": 3, ">=": 3, "==": 3, "!=": 3,
+         "+": 4, "-": 4, "*": 5, "/": 5, "%": 5}
+_CMP_PREC = 3
 
 _PUNCT = ("<=", ">=", "==", "!=", "&&", "||", "<", ">", "(", ")", ",",
           "+", "-", "*", "/", "%", "!")
+
+
+def _ident_end(text: str, i: int) -> int:
+    """End of the identifier starting at `text[i]`, or `i` if none does: a
+    letter or '_', then letters, digits or '_'. Both grammars read
+    identifiers with this."""
+    c = text[i]
+    if not (c.isalpha() or c == "_"):
+        return i
+    n = len(text)
+    i += 1
+    while i < n and (text[i].isalnum() or text[i] == "_"):
+        i += 1
+    return i
 
 
 def _tokenize_infix(text: str) -> list[tuple[str, str, int]]:
@@ -224,10 +263,8 @@ def _tokenize_infix(text: str) -> list[tuple[str, str, int]]:
             toks.append(("int", text[i:j], i))
             i = j
             continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
+        j = _ident_end(text, i)
+        if j > i:
             toks.append(("ident", text[i:j], i))
             i = j
             continue
@@ -244,20 +281,12 @@ def _tokenize_infix(text: str) -> list[tuple[str, str, int]]:
 
 class _InfixParser:
     def __init__(self, text: str):
-        self.text = text
         self.toks = _tokenize_infix(text)
         self.pos = 0
 
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
     def expect(self, value: str):
-        kind, val, off = self.next()
+        kind, val, off = self.toks[self.pos]
+        self.pos += 1
         if val != value:
             raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", off)
 
@@ -270,86 +299,51 @@ class _InfixParser:
         return e
 
     def parse(self) -> Expr:
-        e = self.parse_or()
-        kind, val, off = self.peek()
+        e = self.parse_binary(1)
+        kind, val, off = self.toks[self.pos]
         if kind != "eof":
             raise ParseError(f"unexpected trailing input {val!r}", off)
         return e
 
-    def parse_or(self) -> Expr:
-        off = self.peek()[2]
-        e = self.parse_and()
-        while self.peek()[1] == "||":
-            self.next()
-            self._check(e, BOOL, off)
-            roff = self.peek()[2]
-            r = self._check(self.parse_and(), BOOL, roff)
-            e = Binary("||", e, r)
-        return e
-
-    def parse_and(self) -> Expr:
-        off = self.peek()[2]
-        e = self.parse_cmp()
-        while self.peek()[1] == "&&":
-            self.next()
-            self._check(e, BOOL, off)
-            roff = self.peek()[2]
-            r = self._check(self.parse_cmp(), BOOL, roff)
-            e = Binary("&&", e, r)
-        return e
-
-    def parse_cmp(self) -> Expr:
-        off = self.peek()[2]
-        e = self.parse_sum()
-        if self.peek()[1] in CMP_OPS:
-            op = self.next()[1]
-            self._check(e, INT, off)
-            roff = self.peek()[2]
-            r = self._check(self.parse_sum(), INT, roff)
-            return Binary(op, e, r)
-        return e
-
-    def parse_sum(self) -> Expr:
-        off = self.peek()[2]
-        e = self.parse_term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            self._check(e, INT, off)
-            roff = self.peek()[2]
-            r = self._check(self.parse_term(), INT, roff)
-            e = Binary(op, e, r)
-        return e
-
-    def parse_term(self) -> Expr:
-        off = self.peek()[2]
+    def parse_binary(self, min_prec: int) -> Expr:
+        """Operators of precedence `min_prec` and up, by precedence climbing."""
+        toks = self.toks
+        off = toks[self.pos][2]
         e = self.parse_unary()
-        while self.peek()[1] in ("*", "/", "%"):
-            op = self.next()[1]
-            self._check(e, INT, off)
-            roff = self.peek()[2]
-            r = self._check(self.parse_unary(), INT, roff)
-            e = Binary(op, e, r)
-        return e
+        last = 0  # precedence of the operator applied last in this loop
+        while True:
+            op = toks[self.pos][1]
+            prec = _PREC.get(op)
+            # a comparison left over after `||`, `&&` or a comparison chains
+            # comparisons; the caller reports it as trailing input
+            if (prec is None or prec < min_prec
+                    or (prec == _CMP_PREC and 0 < last <= _CMP_PREC)):
+                return e
+            self.pos += 1
+            want = SIGNATURES[op][0]
+            self._check(e, want, off)
+            roff = toks[self.pos][2]
+            e = Binary(op, e, self._check(self.parse_binary(prec + 1), want, roff))
+            last = prec
 
     def parse_unary(self) -> Expr:
-        kind, val, off = self.peek()
+        kind, val, off = self.toks[self.pos]
         if val == "-":
-            self.next()
+            self.pos += 1
             # fold a leading minus on a literal into the constant
-            k, v, o = self.peek()
+            k, v, o = self.toks[self.pos]
             if k == "int":
-                self.next()
+                self.pos += 1
                 return IntConst(-int(v))
-            child = self._check(self.parse_unary(), INT, off)
-            return Unary("neg", child)
+            return Unary("neg", self._check(self.parse_unary(), INT, off))
         if val == "!":
-            self.next()
-            child = self._check(self.parse_unary(), BOOL, off)
-            return Unary("!", child)
+            self.pos += 1
+            return Unary("!", self._check(self.parse_unary(), BOOL, off))
         return self.parse_atom()
 
     def parse_atom(self) -> Expr:
-        kind, val, off = self.next()
+        kind, val, off = self.toks[self.pos]
+        self.pos += 1
         if kind == "int":
             return IntConst(int(val))
         if kind == "ident":
@@ -359,16 +353,16 @@ class _InfixParser:
                 return BoolConst(False)
             if val in ("min", "max"):
                 self.expect("(")
-                loff = self.peek()[2]
-                left = self._check(self.parse_or(), INT, loff)
+                loff = self.toks[self.pos][2]
+                left = self._check(self.parse_binary(1), INT, loff)
                 self.expect(",")
-                roff = self.peek()[2]
-                right = self._check(self.parse_or(), INT, roff)
+                roff = self.toks[self.pos][2]
+                right = self._check(self.parse_binary(1), INT, roff)
                 self.expect(")")
                 return Binary(val, left, right)
             return Var(val)
         if val == "(":
-            e = self.parse_or()
+            e = self.parse_binary(1)
             self.expect(")")
             return e
         raise ParseError(f"unexpected token {val or 'end of input'!r}", off)
@@ -376,10 +370,6 @@ class _InfixParser:
 
 def parse_infix(text: str) -> Expr:
     return _InfixParser(text).parse()
-
-
-_PREC = {"||": 1, "&&": 2, "<": 3, "<=": 3, ">": 3, ">=": 3, "==": 3, "!=": 3,
-         "+": 4, "-": 4, "*": 5, "/": 5, "%": 5}
 
 
 def print_infix(e: Expr) -> str:
@@ -411,94 +401,85 @@ def print_infix(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# S-expression form, the canonical serialization for rules and golden tests.
+# S-expression form, the canonical serialization for rules and golden tests,
+# and the grammar of rule files. One reader turns text into nested lists of
+# atoms; one builder turns a list into a term.
 
-def _tokenize_sexpr(text: str) -> list[tuple[str, int]]:
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "()":
-            toks.append((c, i))
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in "()":
-            j += 1
-        toks.append((text[i:j], i))
-        i = j
-    return toks
+# a comment, a parenthesis or an atom; whitespace separates them
+_SEXPR_TOKEN = re.compile(r"[;#][^\n]*|[()]|[^\s();#]+")
 
 
-_IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+def read_sexprs(text: str) -> list[tuple[int, object]]:
+    """The top-level s-expressions of `text`. Each is an `(offset, value)`
+    pair whose value is an atom's text or a list of such pairs; `;` and `#`
+    start comments that run to the end of the line."""
+    out: list = []
+    stack: list[tuple[int, list]] = []
+    for m in _SEXPR_TOKEN.finditer(text):
+        tok, i = m.group(), m.start()
+        if tok == "(":
+            stack.append((i, []))
+        elif tok == ")":
+            if not stack:
+                raise ParseError("unexpected ')'", i)
+            node = stack.pop()
+            (stack[-1][1] if stack else out).append(node)
+        elif tok[0] not in ";#":
+            (stack[-1][1] if stack else out).append((i, tok))
+    if stack:
+        raise ParseError("missing ')'", stack[-1][0])
+    return out
 
 
-def _sexpr_atom(tok: str, off: int, allow_patvars: bool) -> Expr:
+def _atom(tok: str, off: int, patvars: bool) -> Pattern:
+    if patvars and tok[0] == "?":
+        if len(tok) > 1 and _ident_end(tok, 1) == len(tok):
+            return PatVar(tok[1:])
+        raise ParseError(f"bad pattern variable {tok!r}", off)
     if tok == "true":
         return BoolConst(True)
     if tok == "false":
         return BoolConst(False)
     if tok.removeprefix("-").isdecimal():
         return IntConst(int(tok))
-    if allow_patvars and tok.startswith("?"):
-        from .matching import PatVar  # local import to avoid a cycle
-        if len(tok) > 1 and all(ch in _IDENT_OK for ch in tok[1:]):
-            return PatVar(tok[1:])
-        raise ParseError(f"bad pattern variable {tok!r}", off)
-    if tok[0].isalpha() or tok[0] == "_":
-        if all(ch in _IDENT_OK for ch in tok):
-            return Var(tok)
+    if _ident_end(tok, 0) == len(tok):
+        return Var(tok)
     raise ParseError(f"bad atom {tok!r}", off)
 
 
-def _parse_sexpr_at(toks, i, allow_patvars):
-    if i >= len(toks):
-        raise ParseError("unexpected end of input")
-    tok, off = toks[i]
-    if tok == ")":
-        raise ParseError("unexpected ')'", off)
-    if tok != "(":
-        return _sexpr_atom(tok, off, allow_patvars), i + 1
-    if i + 1 >= len(toks):
-        raise ParseError("unexpected end of input after '('", off)
-    head, hoff = toks[i + 1]
-    if head in ("(", ")"):
-        raise ParseError("expected operator symbol", hoff)
-    args = []
-    j = i + 2
-    while j < len(toks) and toks[j][0] != ")":
-        arg, j = _parse_sexpr_at(toks, j, allow_patvars)
-        args.append(arg)
-    if j >= len(toks):
-        raise ParseError("missing ')'", off)
-    j += 1
-    if head in UNARY_OPS or head == "not":
-        if len(args) != 1:
-            raise ParseError(f"operator {head!r} takes 1 argument, got {len(args)}", hoff)
-        return Unary("!" if head == "not" else head, args[0]), j
-    if head in BINARY_OPS:
-        if len(args) != 2:
-            raise ParseError(f"operator {head!r} takes 2 arguments, got {len(args)}", hoff)
-        return Binary(head, args[0], args[1]), j
-    raise ParseError(f"unknown operator {head!r}", hoff)
+def build_term(node: tuple[int, object], patvars: bool = False) -> Pattern:
+    """The term an s-expression from `read_sexprs` denotes: `(op arg...)`
+    with the arity `op` takes (`not` reads as `!`), or an atom: an integer,
+    `true`, `false`, an identifier, or with `patvars` a `?identifier`."""
+    off, v = node
+    if isinstance(v, str):
+        return _atom(v, off, patvars)
+    if not v or not isinstance(v[0][1], str):
+        raise ParseError("expected operator symbol", v[0][0] if v else off + 1)
+    (hoff, head), args = v[0], [build_term(a, patvars) for a in v[1:]]
+    op = "!" if head == "not" else head
+    if op not in SIGNATURES:
+        raise ParseError(f"unknown operator {head!r}", hoff)
+    arity = 1 if op in UNARY_OPS else 2
+    if len(args) != arity:
+        raise ParseError(f"operator {head!r} takes {arity} argument{'s' * (arity - 1)}, "
+                         f"got {len(args)}", hoff)
+    return Unary(op, *args) if arity == 1 else Binary(op, *args)
 
 
-def parse_sexpr(text: str, allow_patvars: bool = False) -> Expr:
-    toks = _tokenize_sexpr(text)
-    if not toks:
+def parse_sexpr(text: str, allow_patvars: bool = False) -> Pattern:
+    forms = read_sexprs(text)
+    if not forms:
         raise ParseError("empty input")
-    e, i = _parse_sexpr_at(toks, 0, allow_patvars)
-    if i != len(toks):
-        raise ParseError("unexpected trailing input", toks[i][1])
+    e = build_term(forms[0], allow_patvars)
+    if len(forms) > 1:
+        raise ParseError("unexpected trailing input", forms[1][0])
     if not allow_patvars:
         sort_of(e)
     return e
 
 
-def print_sexpr(e: Expr) -> str:
+def print_sexpr(e: Pattern) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, IntConst):
@@ -509,8 +490,6 @@ def print_sexpr(e: Expr) -> str:
         return f"({e.op} {print_sexpr(e.child)})"
     if isinstance(e, Binary):
         return f"({e.op} {print_sexpr(e.left)} {print_sexpr(e.right)})"
-    # pattern leaves print as ?name; see matching.PatVar
-    from .matching import PatVar
     if isinstance(e, PatVar):
         return f"?{e.name}"
     raise TypeError(f"not an Expr: {e!r}")

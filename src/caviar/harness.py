@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .engine import EngineConfig, NON_PROVABLE, PROVED, prove_pulsed
 from .expr import ParseError, SortError, parse_infix, print_infix
@@ -59,17 +59,9 @@ class Summary:
     p95_time_ms: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "total": self.total, "proved_true": self.proved_true,
-            "proved_false": self.proved_false,
-            "non_provable": self.non_provable, "unknown": self.unknown,
-            "errors": self.errors,
-            "total_time_ms": round(self.total_time_ms, 3),
-            "proved_time_ms": round(self.proved_time_ms, 3),
-            "mean_time_ms": round(self.mean_time_ms, 3),
-            "median_time_ms": round(self.median_time_ms, 3),
-            "p95_time_ms": round(self.p95_time_ms, 3),
-        }
+        """The fields by name, times rounded to the microsecond."""
+        return {k: round(v, 3) if isinstance(v, float) else v
+                for k, v in asdict(self).items()}
 
 
 def read_dataset(text: str) -> list[tuple[int, str]]:

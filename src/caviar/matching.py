@@ -7,19 +7,13 @@ from functools import cached_property
 from typing import Iterator, Union
 
 from .egraph import EClassId, EGraph, ENode, enode, leaf
+# patterns are terms with holes, so `PatVar` and `Pattern` are the term
+# language's; they are imported from here too
 from .expr import (
-    ARITH_OPS, BOOL, CMP_OPS, INT, LOGIC_OPS,
-    Binary, BoolConst, Expr, IntConst, SortError, Unary, Var, apply_op,
-    root_sort,
+    Binary, BoolConst, IntConst, PatVar, Pattern, SortError, Unary, Var,
+    evaluate, root_sort, sort_of,
 )
 
-
-@dataclass(frozen=True)
-class PatVar:
-    name: str
-
-
-Pattern = Union[Expr, PatVar]
 Substitution = dict  # pattern variable name -> EClassId
 
 
@@ -39,61 +33,6 @@ def pattern_vars(p: Pattern) -> list[str]:
 
     go(p)
     return out
-
-
-def check_pattern_sort(p: Pattern, expected: str, env: dict[str, str]) -> None:
-    """Check a pattern against an expected sort, inferring variable sorts."""
-    if isinstance(p, PatVar):
-        prev = env.setdefault(p.name, expected)
-        if prev != expected:
-            raise SortError(f"pattern variable ?{p.name} used at sorts {prev} and {expected}")
-        return
-    if isinstance(p, Var):
-        if expected != INT:
-            raise SortError(f"ground variable {p.name} is int-sorted, expected {expected}")
-        return
-    if isinstance(p, IntConst):
-        if expected != INT:
-            raise SortError(f"integer literal where {expected} expected")
-        return
-    if isinstance(p, BoolConst):
-        if expected != BOOL:
-            raise SortError(f"boolean literal where {expected} expected")
-        return
-    if isinstance(p, Unary):
-        if p.op == "neg":
-            if expected != INT:
-                raise SortError("neg produces int")
-            check_pattern_sort(p.child, INT, env)
-        else:
-            if expected != BOOL:
-                raise SortError("! produces bool")
-            check_pattern_sort(p.child, BOOL, env)
-        return
-    if isinstance(p, Binary):
-        if p.op in ARITH_OPS:
-            if expected != INT:
-                raise SortError(f"{p.op} produces int, expected {expected}")
-            child = INT
-        elif p.op in CMP_OPS:
-            if expected != BOOL:
-                raise SortError(f"{p.op} produces bool, expected {expected}")
-            child = INT
-        elif p.op in LOGIC_OPS:
-            if expected != BOOL:
-                raise SortError(f"{p.op} produces bool, expected {expected}")
-            child = BOOL
-        else:
-            raise SortError(f"unknown operator {p.op}")
-        check_pattern_sort(p.left, child, env)
-        check_pattern_sort(p.right, child, env)
-        return
-    raise TypeError(f"not a pattern: {p!r}")
-
-
-def pattern_root_sort(p: Pattern) -> str | None:
-    """Sort determined by the pattern's root node, if any."""
-    return None if isinstance(p, PatVar) else root_sort(p)
 
 
 def pattern_ops(p: Pattern) -> frozenset[str]:
@@ -144,7 +83,9 @@ class CondAnd:
 Condition = Union[CondIsConst, CondNonConst, CondNonZero, CondIsVar, CondPred, CondAnd]
 
 
-def condition_vars(c: Condition) -> list[str]:
+def condition_vars(c: Condition | None) -> list[str]:
+    if c is None:
+        return []
     if isinstance(c, CondAnd):
         out = []
         for item in c.items:
@@ -157,14 +98,16 @@ def condition_vars(c: Condition) -> list[str]:
     return [c.var]
 
 
-def eval_pattern_ground(p: Pattern, env: dict):
-    if isinstance(p, (PatVar, Var)):
-        return env[p.name]
-    if isinstance(p, (IntConst, BoolConst)):
-        return p.value
-    if isinstance(p, Unary):
-        return apply_op(p.op, eval_pattern_ground(p.child, env))
-    return apply_op(p.op, eval_pattern_ground(p.left, env), eval_pattern_ground(p.right, env))
+# the ground evaluator of patterns is `evaluate`, kept under this name too
+eval_pattern_ground = evaluate
+
+
+def check_scope(where: str, bound: list[str], what: str, used: list[str]) -> None:
+    """The scope rule of rules and non-provable patterns: every variable
+    that `what` uses is bound by the pattern they match."""
+    free = [f"?{v}" for v in used if v not in bound]
+    if free:
+        raise SortError(f"{where}: {what} uses {', '.join(free)}, not bound by the pattern")
 
 
 def eval_condition(cond: Condition, g: EGraph, subst: Substitution) -> bool:
@@ -187,7 +130,7 @@ def eval_condition(cond: Condition, g: EGraph, subst: Substitution) -> bool:
             if d is None:
                 return False
             env[v] = d
-        return bool(eval_pattern_ground(cond.expr, env))
+        return bool(evaluate(cond.expr, env))
     raise TypeError(f"not a condition: {cond!r}")
 
 
@@ -208,7 +151,7 @@ def eval_condition_ground(cond: Condition, values: dict) -> bool:
     if isinstance(cond, CondIsVar):
         return False
     if isinstance(cond, CondPred):
-        return bool(eval_pattern_ground(cond.expr, values))
+        return bool(evaluate(cond.expr, values))
     raise TypeError(f"not a condition: {cond!r}")
 
 
@@ -244,21 +187,18 @@ class Rule:
         return _compile_rhs(self.rhs)
 
     def validate(self) -> dict[str, str]:
-        """Check sort consistency and variable scoping; returns var sorts."""
-        lv, rv = pattern_vars(self.lhs), pattern_vars(self.rhs)
-        extra = [v for v in rv if v not in lv]
-        if extra:
-            raise SortError(f"rule {self.name}: rhs variables {extra} not bound by lhs")
-        sort = pattern_root_sort(self.lhs) or pattern_root_sort(self.rhs)
+        """Check variable scoping and sorts; returns the variables' sorts."""
+        where, bound = f"rule {self.name}", pattern_vars(self.lhs)
+        check_scope(where, bound, "rhs", pattern_vars(self.rhs))
+        check_scope(where, bound, "condition", condition_vars(self.cond))
+        sort = root_sort(self.lhs) or root_sort(self.rhs)
         if sort is None:
-            raise SortError(f"rule {self.name}: cannot determine sort of bare-variable rule")
+            raise SortError(f"{where}: cannot determine sort of bare-variable rule")
         env: dict[str, str] = {}
-        check_pattern_sort(self.lhs, sort, env)
-        check_pattern_sort(self.rhs, sort, env)
-        if self.cond is not None:
-            for v in condition_vars(self.cond):
-                if v not in lv:
-                    raise SortError(f"rule {self.name}: condition variable ?{v} not bound by lhs")
+        for side, p in (("lhs", self.lhs), ("rhs", self.rhs)):
+            got = sort_of(p, env, sort)
+            if got != sort:
+                raise SortError(f"{where}: {side} is {got}-sorted, expected {sort}")
         return env
 
 

@@ -5,12 +5,14 @@ Rule files are line-oriented s-expressions:
     (rule <name> <lhs> <rhs> [:if <cond>])
     (nppd <id> <pattern> :if <cond>)
 
-Pattern variables are written ``?x``. Condition forms: ``(const ?x)``,
+Patterns are terms in `expr.parse_sexpr`'s grammar, read by the same
+reader and builder, with pattern variables written ``?x``; identifiers are
+those of infix expressions. Condition forms: ``(const ?x)``,
 ``(nonconst ?x)``, ``(nonzero ?x)``, ``(isvar ?x)``,
 ``(pred <boolean expression over matched constants>)`` and ``(and ...)``.
 Inside ``pred``, ``and``/``or``/``not`` alias the boolean operators and
-``(abs x)`` is shorthand for ``max(x, -x)``. Lines starting with ``;`` or
-``#`` are comments.
+``(abs x)`` is shorthand for ``max(x, -x)``. ``;`` and ``#`` start comments.
+A malformed file raises ParseError or SortError naming the line.
 """
 
 from __future__ import annotations
@@ -19,200 +21,76 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .expr import (
-    BINARY_OPS, BOOL, UNARY_OPS,
-    Binary, BoolConst, IntConst, ParseError, SortError, Unary, Var,
+    BOOL, ParseError, PatVar, Pattern, SortError, build_term, print_sexpr,
+    read_sexprs, sort_of,
 )
 from .matching import (
     CondAnd, CondIsConst, CondIsVar, CondNonConst, CondNonZero, CondPred,
-    Condition, Matcher, PatVar, Pattern, Rule, check_pattern_sort,
+    Condition, Matcher, Rule, check_scope, condition_vars, pattern_vars,
 )
 
 # ---------------------------------------------------------------------------
-# Generic s-expression reader (nested lists of atom strings).
+# Conditions. Terms are read by `expr.read_sexprs` and `expr.build_term`;
+# only the rule, nppd and condition forms are read here.
 
-def _read_sexprs(text: str) -> list[tuple[object, int]]:
-    """All top-level s-expressions in `text`, with their line numbers."""
-    items: list[tuple[object, int]] = []
-    stack: list[list] = []
-    starts: list[int] = []
-    line = 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            continue
-        if c in ";#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "(":
-            stack.append([])
-            starts.append(line)
-            i += 1
-            continue
-        if c == ")":
-            if not stack:
-                raise ParseError(f"line {line}: unmatched ')'")
-            done = stack.pop()
-            start = starts.pop()
-            if stack:
-                stack[-1].append(done)
-            else:
-                items.append((done, start))
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in "();#":
-            j += 1
-        atom = text[i:j]
-        if stack:
-            stack[-1].append(atom)
-        else:
-            items.append((atom, line))
-        i = j
-    if stack:
-        raise ParseError(f"line {starts[-1]}: unclosed '('")
-    return items
+_VAR_CONDS = {"const": CondIsConst, "nonconst": CondNonConst,
+              "nonzero": CondNonZero, "isvar": CondIsVar}
+_COND_NAMES = {kind: name for name, kind in _VAR_CONDS.items()}
 
 
-def _pattern_from_sexp(sx, line: int) -> Pattern:
-    if isinstance(sx, str):
-        if sx == "true":
-            return BoolConst(True)
-        if sx == "false":
-            return BoolConst(False)
-        if sx.startswith("?") and len(sx) > 1:
-            return PatVar(sx[1:])
-        if sx.removeprefix("-").isdecimal():
-            return IntConst(int(sx))
-        if sx[0].isalpha() or sx[0] == "_":
-            return Var(sx)
-        raise ParseError(f"line {line}: bad atom {sx!r}")
-    if not sx or isinstance(sx[0], list):
-        raise ParseError(f"line {line}: expected operator symbol")
-    head, args = sx[0], sx[1:]
-    if head == "not":
-        head = "!"
-    if head in UNARY_OPS:
+def _desugar(node):
+    """`pred`'s aliases rewritten to core operators: `and`/`or` take two or
+    more arguments and fold to the left, and `(abs x)` is `(max x (neg x))`."""
+    off, v = node
+    if isinstance(v, str) or not v or not isinstance(v[0][1], str):
+        return node
+    (hoff, head), args = v[0], [_desugar(a) for a in v[1:]]
+    if head == "abs":
         if len(args) != 1:
-            raise ParseError(f"line {line}: {head!r} takes 1 argument")
-        return Unary(head, _pattern_from_sexp(args[0], line))
-    if head in BINARY_OPS:
-        if len(args) != 2:
-            raise ParseError(f"line {line}: {head!r} takes 2 arguments")
-        return Binary(head, _pattern_from_sexp(args[0], line),
-                      _pattern_from_sexp(args[1], line))
-    raise ParseError(f"line {line}: unknown operator {head!r}")
+            raise ParseError(f"abs takes 1 argument, got {len(args)}", hoff)
+        return off, [(hoff, "max"), args[0], (off, [(hoff, "neg"), args[0]])]
+    op = {"and": "&&", "or": "||"}.get(head)
+    if op is None:
+        return off, [v[0], *args]
+    if len(args) < 2:
+        raise ParseError(f"{head} takes 2 or more arguments, got {len(args)}", hoff)
+    out = args[0]
+    for a in args[1:]:
+        out = off, [(hoff, op), out, a]
+    return out
 
 
-def _pred_from_sexp(sx, line: int) -> Pattern:
-    if isinstance(sx, list) and sx:
-        head = sx[0]
-        if head == "abs":
-            if len(sx) != 2:
-                raise ParseError(f"line {line}: abs takes 1 argument")
-            inner = _pred_from_sexp(sx[1], line)
-            return Binary("max", inner, Unary("neg", inner))
-        alias = {"and": "&&", "or": "||", "not": "!"}.get(head)
-        if alias == "!":
-            if len(sx) != 2:
-                raise ParseError(f"line {line}: not takes 1 argument")
-            return Unary("!", _pred_from_sexp(sx[1], line))
-        if alias:
-            args = [_pred_from_sexp(a, line) for a in sx[1:]]
-            if len(args) < 2:
-                raise ParseError(f"line {line}: {head!r} takes 2+ arguments")
-            out = args[0]
-            for a in args[1:]:
-                out = Binary(alias, out, a)
-            return out
-        return _pattern_binary_pred(sx, line)
-    return _pattern_from_sexp(sx, line)
-
-
-def _pattern_binary_pred(sx, line: int) -> Pattern:
-    head, args = sx[0], sx[1:]
-    if head in UNARY_OPS:
-        if len(args) != 1:
-            raise ParseError(f"line {line}: {head!r} takes 1 argument")
-        return Unary(head, _pred_from_sexp(args[0], line))
-    if head in BINARY_OPS:
-        if len(args) != 2:
-            raise ParseError(f"line {line}: {head!r} takes 2 arguments")
-        return Binary(head, _pred_from_sexp(args[0], line),
-                      _pred_from_sexp(args[1], line))
-    raise ParseError(f"line {line}: unknown operator {head!r} in pred")
-
-
-def _var_name(sx, line: int) -> str:
-    if isinstance(sx, str) and sx.startswith("?") and len(sx) > 1:
-        return sx[1:]
-    raise ParseError(f"line {line}: expected pattern variable, got {sx!r}")
-
-
-def _cond_from_sexp(sx, line: int) -> Condition:
-    if not isinstance(sx, list) or not sx or not isinstance(sx[0], str):
-        raise ParseError(f"line {line}: bad condition {sx!r}")
-    head = sx[0]
+def _cond(node) -> Condition:
+    off, v = node
+    if isinstance(v, str) or not v or not isinstance(v[0][1], str):
+        raise ParseError("expected a condition form", off)
+    (hoff, head), args = v[0], v[1:]
     if head == "and":
-        return CondAnd(tuple(_cond_from_sexp(a, line) for a in sx[1:]))
-    if head == "const":
-        return CondIsConst(_var_name(sx[1], line))
-    if head == "nonconst":
-        return CondNonConst(_var_name(sx[1], line))
-    if head == "nonzero":
-        return CondNonZero(_var_name(sx[1], line))
-    if head == "isvar":
-        return CondIsVar(_var_name(sx[1], line))
+        return CondAnd(tuple(_cond(a) for a in args))
+    if head != "pred" and head not in _VAR_CONDS:
+        raise ParseError(f"unknown condition form {head!r}", hoff)
+    if len(args) != 1:
+        raise ParseError(f"{head} takes 1 argument, got {len(args)}", hoff)
     if head == "pred":
-        if len(sx) != 2:
-            raise ParseError(f"line {line}: pred takes 1 argument")
-        return CondPred(_pred_from_sexp(sx[1], line))
-    raise ParseError(f"line {line}: unknown condition form {head!r}")
+        return CondPred(build_term(_desugar(args[0]), patvars=True))
+    var = build_term(args[0], patvars=True)
+    if not isinstance(var, PatVar):
+        raise ParseError(f"{head} takes a pattern variable", args[0][0])
+    return _VAR_CONDS[head](var.name)
 
 
-# ---------------------------------------------------------------------------
-# Serialization back to the rule-file grammar.
-
-def _sexp_of_pattern(p: Pattern) -> str:
-    if isinstance(p, PatVar):
-        return f"?{p.name}"
-    if isinstance(p, Var):
-        return p.name
-    if isinstance(p, IntConst):
-        return str(p.value)
-    if isinstance(p, BoolConst):
-        return "true" if p.value else "false"
-    if isinstance(p, Unary):
-        return f"({p.op} {_sexp_of_pattern(p.child)})"
-    return f"({p.op} {_sexp_of_pattern(p.left)} {_sexp_of_pattern(p.right)})"
-
-
-def _sexp_of_cond(c: Condition) -> str:
+def _cond_text(c: Condition) -> str:
     if isinstance(c, CondAnd):
-        return "(and " + " ".join(_sexp_of_cond(i) for i in c.items) + ")"
-    if isinstance(c, CondIsConst):
-        return f"(const ?{c.var})"
-    if isinstance(c, CondNonConst):
-        return f"(nonconst ?{c.var})"
-    if isinstance(c, CondNonZero):
-        return f"(nonzero ?{c.var})"
-    if isinstance(c, CondIsVar):
-        return f"(isvar ?{c.var})"
+        return "(and " + " ".join(_cond_text(i) for i in c.items) + ")"
     if isinstance(c, CondPred):
-        return f"(pred {_sexp_of_pattern(c.expr)})"
-    raise TypeError(f"not a condition: {c!r}")
+        return f"(pred {print_sexpr(c.expr)})"
+    return f"({_COND_NAMES[type(c)]} ?{c.var})"
 
 
 def rule_to_line(r: Rule) -> str:
-    s = f"(rule {r.name} {_sexp_of_pattern(r.lhs)} {_sexp_of_pattern(r.rhs)}"
+    s = f"(rule {r.name} {print_sexpr(r.lhs)} {print_sexpr(r.rhs)}"
     if r.cond is not None:
-        s += f" :if {_sexp_of_cond(r.cond)}"
+        s += f" :if {_cond_text(r.cond)}"
     return s + ")"
 
 
@@ -253,63 +131,73 @@ class NPPattern:
         return Matcher(self.pattern)
 
     def validate(self):
-        env: dict[str, str] = {}
-        check_pattern_sort(self.pattern, BOOL, env)
+        where = f"nppd {self.id}"
+        check_scope(where, pattern_vars(self.pattern), "condition",
+                    condition_vars(self.cond))
+        got = sort_of(self.pattern, {}, BOOL)
+        if got != BOOL:
+            raise SortError(f"{where}: pattern is {got}-sorted, expected bool")
 
 
 def nppd_to_line(p: NPPattern) -> str:
-    return f"(nppd {p.id} {_sexp_of_pattern(p.pattern)} :if {_sexp_of_cond(p.cond)})"
+    return f"(nppd {p.id} {print_sexpr(p.pattern)} :if {_cond_text(p.cond)})"
 
 
 # ---------------------------------------------------------------------------
 # Parsing of rule and NPPD files.
 
+def _rule(items) -> Rule:
+    if len(items) not in (4, 6):
+        raise ParseError("rule takes name, lhs, rhs and optional :if cond", items[0][0])
+    return Rule(_name(items[1], "rule"), build_term(items[2], patvars=True),
+                build_term(items[3], patvars=True),
+                _if_cond(items[4:]) if len(items) == 6 else None)
+
+
+def _nppd(items) -> NPPattern:
+    if len(items) != 5:
+        raise ParseError("nppd takes id, pattern, :if cond", items[0][0])
+    return NPPattern(_name(items[1], "nppd"), build_term(items[2], patvars=True),
+                     _if_cond(items[3:]))
+
+
+def _name(node, form: str) -> str:
+    off, v = node
+    if not isinstance(v, str):
+        raise ParseError(f"{form} name must be an atom", off)
+    return v
+
+
+def _if_cond(items) -> Condition:
+    (off, kw), cond = items
+    if kw != ":if":
+        raise ParseError("expected ':if' before the condition", off)
+    return _cond(cond)
+
+
+def _parse_forms(text: str, keyword: str, build) -> list:
+    """`build` applied to each `(keyword ...)` form of `text`, validated; an
+    error names the line it is on."""
+    pos, out = 0, []
+    try:
+        for pos, v in read_sexprs(text):
+            if isinstance(v, str) or not v or v[0][1] != keyword:
+                raise ParseError(f"expected ({keyword} ...) form", pos)
+            item = build(v)
+            item.validate()
+            out.append(item)
+    except (ParseError, SortError) as e:
+        at = pos if e.offset is None else e.offset
+        raise type(e)(f"line {text.count(chr(10), 0, at) + 1}: {e.message}") from None
+    return out
+
+
 def parse_rules(text: str, name: str = "loaded") -> Ruleset:
-    rules = []
-    for sx, line in _read_sexprs(text):
-        if not isinstance(sx, list) or not sx:
-            raise ParseError(f"line {line}: expected (rule ...) form")
-        if sx[0] != "rule":
-            raise ParseError(f"line {line}: expected 'rule', got {sx[0]!r}")
-        if len(sx) not in (4, 6):
-            raise ParseError(f"line {line}: rule takes name, lhs, rhs and optional :if cond")
-        rname = sx[1]
-        if not isinstance(rname, str):
-            raise ParseError(f"line {line}: rule name must be an atom")
-        lhs = _pattern_from_sexp(sx[2], line)
-        rhs = _pattern_from_sexp(sx[3], line)
-        cond = None
-        if len(sx) == 6:
-            if sx[4] != ":if":
-                raise ParseError(f"line {line}: expected ':if', got {sx[4]!r}")
-            cond = _cond_from_sexp(sx[5], line)
-        rule = Rule(rname, lhs, rhs, cond)
-        try:
-            rule.validate()
-        except SortError as e:
-            raise SortError(f"line {line}: {e}") from None
-        rules.append(rule)
-    return Ruleset(name, rules)
+    return Ruleset(name, _parse_forms(text, "rule", _rule))
 
 
 def parse_nppd(text: str) -> list[NPPattern]:
-    out = []
-    for sx, line in _read_sexprs(text):
-        if not isinstance(sx, list) or not sx or sx[0] != "nppd":
-            raise ParseError(f"line {line}: expected (nppd ...) form")
-        if len(sx) != 5 or sx[3] != ":if":
-            raise ParseError(f"line {line}: nppd takes id, pattern, :if cond")
-        pid = sx[1]
-        if not isinstance(pid, str):
-            raise ParseError(f"line {line}: nppd id must be an atom")
-        pat = _pattern_from_sexp(sx[2], line)
-        cond = _cond_from_sexp(sx[4], line)
-        p = NPPattern(pid, pat, cond)
-        try:
-            p.validate()
-        except SortError as e:
-            raise SortError(f"line {line}: {e}") from None
-        out.append(p)
+    out = _parse_forms(text, "nppd", _nppd)
     ids = [p.id for p in out]
     if len(set(ids)) != len(ids):
         raise ParseError("duplicate non-provable pattern ids")

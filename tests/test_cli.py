@@ -110,6 +110,16 @@ def test_pulse_iters_must_be_positive(capsys):
     assert "pulse_iters" in err
 
 
+@pytest.mark.parametrize("pulse", ["0", "-1"])
+def test_pulse_must_be_positive(capsys, pulse):
+    # a zero pulse period ran empty pulses until the timeout
+    code, out, err = run_cli(capsys, "prove", "--expr", "x * 3 < x * 3 + 1",
+                             "--pulse", pulse, "--timeout", "1")
+    assert code == 2
+    assert out == ""
+    assert "error: pulse_threshold must be positive" in err
+
+
 def test_config_banner_variants(capsys):
     _, _, err = run_cli(capsys, "prove", "--expr", "x <= x", "--deterministic",
                         "--no-ilc", "--no-nppd", "--no-pulse")
@@ -148,6 +158,15 @@ def test_bad_rules_file_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_bad_rule_condition_exit_code(tmp_path, capsys):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("(rule r (+ ?a 0) ?a :if (const))\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "prove", "--expr", "x <= x",
+                           "--rules", str(rules))
+    assert code == 2
+    assert "error: line 1: const takes 1 argument, got 0" in err
+
+
 def test_simplify(capsys):
     code, out, err = run_cli(capsys, "simplify", "--expr", "(a * 2) / 2",
                              "--deterministic")
@@ -159,6 +178,14 @@ def test_simplify(capsys):
 def test_simplify_parse_error(capsys):
     code, _, _ = run_cli(capsys, "simplify", "--expr", "a +")
     assert code == 2
+
+
+def test_simplify_too_deep(capsys):
+    deep = " + ".join(["x"] * 1200)
+    code, out, err = run_cli(capsys, "simplify", "--expr", deep, "--deterministic")
+    assert code == 2
+    assert out == ""
+    assert err.endswith("error: expression nests too deeply\n")
 
 
 def test_unsound_rules_fatal_exit_code(tmp_path, capsys):
@@ -193,6 +220,9 @@ DETERMINISTIC_REPORT_SHA256 = {
         "3483f3f0f23623cac694a3752ed1827360cfaecb69ddb49988f4592a92d69dde",
 }
 _VANILLA_FLAGS = ("--no-pulse", "--no-ilc", "--no-nppd", "--iter-limit", "3")
+# sha256 of the `prove --deterministic --format json` report of all of
+# nearmiss.txt, recorded before `Summary.as_dict` was built from its fields
+NEARMISS_JSON_SHA256 = "2eccbc725ffe27c6f54d37e0a786f52703c2c967e65dd4251a000628a8e4014d"
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -207,3 +237,12 @@ def test_deterministic_report_pinned(tmp_path, capsys, name, flags):
     assert code == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == DETERMINISTIC_REPORT_SHA256[name, flags]
+
+
+def test_json_report_pinned(tmp_path, capsys):
+    path = tmp_path / "nearmiss.txt"
+    path.write_text(corpus_text("nearmiss.txt"), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "prove", "--input", str(path),
+                           "--deterministic", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == NEARMISS_JSON_SHA256

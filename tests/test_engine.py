@@ -221,6 +221,9 @@ def test_config_validation():
         EngineConfig(goals=[parse_infix("x < 1")])
     with pytest.raises(ValueError):
         EngineConfig(pulse_iters=0)
+    for pulse in (0, 0.0, -1.0):
+        with pytest.raises(ValueError, match="pulse_threshold must be positive"):
+            EngineConfig(pulse_threshold=pulse)
 
 
 def test_work_counters_pinned():

@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caviar.expr import (
-    Binary, BoolConst, IntConst, ParseError, SortError, Unary, UnboundVariable,
-    Var, apply_op, ast_size, evaluate, free_vars, parse_infix,
+    Binary, BoolConst, IntConst, ParseError, PatVar, SortError, Unary,
+    UnboundVariable, Var, apply_op, ast_size, evaluate, free_vars, parse_infix,
     parse_sexpr, print_infix, print_sexpr, sort_of,
 )
-from caviar.matching import PatVar
 
 from .helpers import random_expr
 
@@ -76,6 +75,32 @@ def test_sort_errors():
         parse_infix("true < false")
 
 
+# exact texts, offsets included, recorded before the infix parser became one
+# precedence-climbing loop
+@pytest.mark.parametrize("src,error", [
+    ("a + ", "ParseError: unexpected token 'end of input' (at offset 4)"),
+    ("(a + b", "ParseError: expected ')', found 'end of input' (at offset 6)"),
+    ("", "ParseError: unexpected token 'end of input' (at offset 0)"),
+    ("a @ b", "ParseError: unexpected character '@' (at offset 2)"),
+    ("a < b < c", "ParseError: unexpected trailing input '<' (at offset 6)"),
+    ("x == y == z", "ParseError: unexpected trailing input '==' (at offset 7)"),
+    ("min(a)", "ParseError: expected ',', found ')' (at offset 5)"),
+    ("a +* b", "ParseError: unexpected token '*' (at offset 3)"),
+    ("a b", "ParseError: unexpected trailing input 'b' (at offset 2)"),
+    ("a + (b < c)", "SortError: expected int-sorted operand, got bool (at offset 4)"),
+    ("a && b", "SortError: expected bool-sorted operand, got int (at offset 0)"),
+    ("!a", "SortError: expected bool-sorted operand, got int (at offset 0)"),
+    ("-true", "SortError: expected int-sorted operand, got bool (at offset 0)"),
+    ("min(a < b, c)", "SortError: expected int-sorted operand, got bool (at offset 4)"),
+    ("x <= (y && z)", "SortError: expected bool-sorted operand, got int (at offset 6)"),
+    ("1 + 2 || x < y", "SortError: expected bool-sorted operand, got int (at offset 0)"),
+])
+def test_parse_error_texts_pinned(src, error):
+    with pytest.raises((ParseError, SortError)) as exc:
+        parse_infix(src)
+    assert f"{exc.type.__name__}: {exc.value}" == error
+
+
 def test_parse_deep_sum_checks_sorts_in_linear_time():
     # each operand's sort is checked once, at its root; re-checking whole
     # operands made this quadratic and overflowed the recursion limit
@@ -93,6 +118,18 @@ def test_sort_of():
     assert sort_of(parse_infix("a + b")) == "int"
     assert sort_of(parse_infix("a <= b")) == "bool"
     assert sort_of(parse_infix("min(a, b) < 3 && true")) == "bool"
+
+
+def test_sort_of_infers_pattern_variable_sorts():
+    env = {}
+    p = parse_sexpr("(&& ?p (< ?a (neg ?b)))", allow_patvars=True)
+    assert sort_of(p, env, "bool") == "bool"
+    assert env == {"p": "bool", "a": "int", "b": "int"}
+    assert sort_of(PatVar("p"), env, "bool") == "bool"
+    with pytest.raises(SortError, match=r"\?p used at sorts bool and int"):
+        sort_of(parse_sexpr("(+ ?p 1)", allow_patvars=True), env, "int")
+    with pytest.raises(SortError):
+        sort_of(PatVar("q"))  # nothing decides its sort
 
 
 def test_apply_op_floor_division():
@@ -113,6 +150,13 @@ def test_evaluate_and_free_vars():
     assert evaluate(e, {"x": 3, "y": 5}) is True
     with pytest.raises(UnboundVariable):
         evaluate(e, {"x": 3})
+
+
+def test_evaluate_reads_pattern_variables_as_variables():
+    p = parse_sexpr("(< (+ ?a x) 3)", allow_patvars=True)
+    assert evaluate(p, {"a": 1, "x": 1}) is True
+    with pytest.raises(UnboundVariable):
+        evaluate(p, {"x": 1})
 
 
 def test_evaluate_big_integers():
@@ -145,6 +189,33 @@ def test_sexpr_patvars():
     assert print_sexpr(p) == "(+ ?a 1)"
     with pytest.raises(ParseError):
         parse_sexpr("(+ ?a 1)", allow_patvars=False)
+
+
+def test_sexpr_identifiers_are_infix_identifiers():
+    for tok in ["x", "_x1", "x\u00b2", "foo@", "x-y", "1x", "?", "x.y"]:
+        try:
+            infix_ok = parse_infix(f"{tok} < 0") == Binary("<", Var(tok), IntConst(0))
+        except ParseError:
+            infix_ok = False
+        try:
+            sexpr_ok = parse_sexpr(f"(< {tok} 0)") == Binary("<", Var(tok), IntConst(0))
+        except ParseError:
+            sexpr_ok = False
+        assert sexpr_ok == infix_ok, tok
+
+
+def test_sexpr_comments_and_errors():
+    assert parse_sexpr("; lead\n(+ a ; inner\n 1) # tail") == \
+        Binary("+", Var("a"), IntConst(1))
+    for src, error in [("(+ a)", "operator '+' takes 2 arguments, got 1 (at offset 1)"),
+                       ("(foo a b)", "unknown operator 'foo' (at offset 1)"),
+                       ("(+ a b", "missing ')' (at offset 0)"),
+                       ("(+ a b) c", "unexpected trailing input (at offset 8)"),
+                       ("x-y", "bad atom 'x-y' (at offset 0)"),
+                       ("; only a comment", "empty input")]:
+        with pytest.raises(ParseError) as exc:
+            parse_sexpr(src)
+        assert str(exc.value) == error
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,8 +6,8 @@ import json
 
 from caviar.engine import EngineConfig
 from caviar.harness import (
-    CSV_HEADER, emit_csv, emit_json, emit_report, read_dataset, run_dataset,
-    summarize,
+    CSV_HEADER, Summary, emit_csv, emit_json, emit_report, read_dataset,
+    run_dataset, summarize,
 )
 from caviar.rules import default_nppd_patterns, default_ruleset
 
@@ -73,6 +73,17 @@ def test_summary_times():
     s = summarize(rows)
     assert s.total_time_ms == 0.0  # deterministic mode reports zero
     assert s.mean_time_ms == 0.0
+
+
+def test_summary_as_dict_rounds_times():
+    s = Summary(total=3, proved_true=2, errors=1, total_time_ms=1.23456,
+                p95_time_ms=0.0004)
+    d = s.as_dict()
+    assert list(d) == ["total", "proved_true", "proved_false", "non_provable",
+                       "unknown", "errors", "total_time_ms", "proved_time_ms",
+                       "mean_time_ms", "median_time_ms", "p95_time_ms"]
+    assert d["total"] == 3 and type(d["total"]) is int
+    assert d["total_time_ms"] == 1.235 and d["p95_time_ms"] == 0.0
 
 
 def test_emit_report_dispatch():

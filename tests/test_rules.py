@@ -1,6 +1,7 @@
 """Rule file parsing, serialization, the built-in ruleset, and the
 non-provable pattern definitions."""
 
+import hashlib
 import random
 
 import pytest
@@ -68,6 +69,50 @@ def test_nppd_round_trip():
     text = "\n".join(nppd_to_line(p) for p in ps)
     ps2 = parse_nppd(text)
     assert ps2 == ps
+
+
+# sha256 of the built-in rules and patterns as serialized before rule files
+# and expressions shared one reader
+DEFAULT_RULES_SHA256 = "a7fc27839da6a6234c4e7c83089ecd956539e54718c32df1314a2dc3ced3bd9c"
+DEFAULT_NPPD_SHA256 = "12a1619667bebddfb5335eec7ab292857209018c10b2c1c60074f84cb2777404"
+
+
+def test_default_serialization_pinned():
+    text = default_ruleset().serialize()
+    assert len(default_ruleset()) == 137
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_RULES_SHA256
+    text = "\n".join(nppd_to_line(p) for p in default_nppd_patterns())
+    assert len(default_nppd_patterns()) == 5
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_NPPD_SHA256
+
+
+_HEAD = "; header\n(rule ok (+ ?a 0) ?a)\n"
+
+
+@pytest.mark.parametrize("text,error", [
+    # a condition with no operand
+    (_HEAD + "(rule r (+ ?a 0) ?a :if (const))",
+     "ParseError: line 3: const takes 1 argument, got 0"),
+    # a second operand is not dropped
+    (_HEAD + "(rule r (+ ?a ?b) ?a :if (const ?a ?b))",
+     "ParseError: line 3: const takes 1 argument, got 2"),
+    # atoms that are not infix identifiers
+    (_HEAD + "(rule r (+ foo@ 0) 0)", "ParseError: line 3: bad atom 'foo@'"),
+    (_HEAD + "(rule r (+ ?a 0)\n  (- x-y x-y))", "ParseError: line 4: bad atom 'x-y'"),
+    (_HEAD + "(rule r (+ ?a@ 0) ?a@)", "ParseError: line 3: bad pattern variable '?a@'"),
+], ids=["cond-no-operand", "cond-two-operands", "atom-at", "atom-dash", "patvar-at"])
+def test_bad_rule_file_names_its_line(text, error):
+    with pytest.raises((ParseError, SortError)) as exc:
+        parse_rules(text)
+    assert f"{exc.type.__name__}: {exc.value}" == error
+
+
+def test_nppd_condition_variables_are_scoped():
+    # NPPattern.validate shares Rule.validate's scope check
+    with pytest.raises(SortError, match=r"^line 2: nppd p: condition uses \?zz"):
+        parse_nppd("\n(nppd p (!= ?x ?c) :if (const ?zz))")
+    with pytest.raises(ParseError, match=r"^line 1: bad atom 'x-y'"):
+        parse_nppd("(nppd p (!= x-y ?c) :if (const ?c))")
 
 
 def test_nppd_parse_errors():
