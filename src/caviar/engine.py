@@ -194,7 +194,7 @@ def run_saturation(g: EGraph, root: EClassId, rules, cfg: EngineConfig,
         try:
             all_matches = [gather_matches(g, rule, tick=match_tick) for rule in active]
             unions = sum(apply_matches(g, rule, ms, tick=apply_tick)
-                         for rule, ms in zip(active, all_matches))
+                         for rule, ms in zip(active, all_matches) if ms)
         except _AbortRun as abort:
             # the iteration is abandoned mid-flight; restore invariants so
             # the final goal check and extraction still work

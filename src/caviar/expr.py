@@ -442,6 +442,9 @@ def _atom(tok: str, off: int, patvars: bool) -> Pattern:
         return BoolConst(False)
     if tok.removeprefix("-").isdecimal():
         return IntConst(int(tok))
+    if tok in ("min", "max"):
+        # the infix grammar reads these only as functions
+        raise ParseError(f"{tok!r} is an operator, not a variable", off)
     if _ident_end(tok, 0) == len(tok):
         return Var(tok)
     raise ParseError(f"bad atom {tok!r}", off)

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Union
 
 from .egraph import EClassId, EGraph, ENode, enode, leaf
 # patterns are terms with holes, so `PatVar` and `Pattern` are the term
 # language's; they are imported from here too
 from .expr import (
-    Binary, BoolConst, IntConst, PatVar, Pattern, SortError, Unary, Var,
+    BOOL, Binary, BoolConst, IntConst, PatVar, Pattern, SortError, Unary, Var,
     evaluate, root_sort, sort_of,
 )
 
@@ -110,6 +110,18 @@ def check_scope(where: str, bound: list[str], what: str, used: list[str]) -> Non
         raise SortError(f"{where}: {what} uses {', '.join(free)}, not bound by the pattern")
 
 
+def check_preds(where: str, cond: Condition | None, sorts: dict[str, str]) -> None:
+    """Each `pred` of a condition is a boolean term over the pattern's
+    variables, at the sorts `sorts` the pattern gives them."""
+    if isinstance(cond, CondAnd):
+        for c in cond.items:
+            check_preds(where, c, sorts)
+    elif isinstance(cond, CondPred):
+        got = sort_of(cond.expr, sorts, BOOL)
+        if got != BOOL:
+            raise SortError(f"{where}: pred is {got}-sorted, expected bool")
+
+
 def eval_condition(cond: Condition, g: EGraph, subst: Substitution) -> bool:
     """Evaluate a condition against e-class constant data. Never mutates."""
     if isinstance(cond, CondAnd):
@@ -166,7 +178,7 @@ class Rule:
     cond: Condition | None = None
 
     def __reduce__(self):
-        # pickles without the compiled forms, which hold closures
+        # pickles without the compiled forms, which hold generated code
         return (Rule, (self.name, self.lhs, self.rhs, self.cond))
 
     @cached_property
@@ -180,11 +192,22 @@ class Rule:
         holds an e-node of each (leaves are left out, so this is safe)."""
         return pattern_ops(self.lhs)
 
+    # the compiled forms, each built on first use
+    @cached_property
+    def gather(self):
+        """`gather(g, tick)`: `gather_matches` of this rule."""
+        return _define(*_search_source(self.lhs, gather=True, cond=self.cond))
+
+    @cached_property
+    def apply(self):
+        """`apply(g, matches, tick)`: `apply_matches` of this rule."""
+        return _define(*_apply_source(self.rhs, build=False))
+
     @cached_property
     def build(self):
-        """The rhs compiled into `build(g, subst) -> EClassId`, which adds
-        its e-nodes under a substitution; built on first use."""
-        return _compile_rhs(self.rhs)
+        """`build(g, subst) -> EClassId`: adds the rhs's e-nodes under a
+        substitution."""
+        return _define(*_apply_source(self.rhs, build=True))
 
     def validate(self) -> dict[str, str]:
         """Check variable scoping and sorts; returns the variables' sorts."""
@@ -199,12 +222,22 @@ class Rule:
             got = sort_of(p, env, sort)
             if got != sort:
                 raise SortError(f"{where}: {side} is {got}-sorted, expected {sort}")
+        check_preds(where, self.cond, env)
         return env
 
 
 # ---------------------------------------------------------------------------
-# E-matching: patterns compile once to nested closures over the stored
-# e-nodes, which `rebuild` keeps canonical; match only a rebuilt graph.
+# E-matching by generated code. A pattern compiles, on first use, to Python
+# source: nested loops over the stored e-nodes, which `rebuild` keeps
+# canonical, so match only a rebuilt graph. The source holds only names made
+# up here; variable names, operator symbols, leaf e-nodes and conditions
+# reach it as constants of its `exec` namespace, so that no rule file can
+# write code, and rules of one shape share their compiled code.
+
+# Python nests at most 20 blocks in a function; past this many e-node loops
+# the rest of a match moves into a generator of its own
+_MAX_LOOPS = 16
+
 
 def _leaf_node(p: Var | IntConst | BoolConst) -> ENode:
     if isinstance(p, Var):
@@ -212,73 +245,232 @@ def _leaf_node(p: Var | IntConst | BoolConst) -> ENode:
     return leaf("bool" if isinstance(p, BoolConst) else "int", p.value)
 
 
-def _compile(p: Pattern, names: list[str]):
-    """Matcher `m(g, cid, vals)` for `p` at class `cid`: an iterable, lazy
-    for operators, of the extensions of the binding tuple `vals` under which
-    `p` matches, in e-node order. `names`, the variables of `vals` in order,
-    gains those that `p` binds first."""
-    if isinstance(p, PatVar):
-        if p.name in names:
-            i = names.index(p.name)
-            return lambda g, cid, vals: (vals,) if vals[i] == cid else ()
-        names.append(p.name)
-        return lambda g, cid, vals: (vals + (cid,),)
-    if isinstance(p, (Var, IntConst, BoolConst)):
-        # a leaf e-node is stored by exactly one class, the one its hashcons
-        # entry finds: O(1), where scanning the class's e-nodes is not
-        node = _leaf_node(p)
+class _Consts(dict):
+    """The `exec` namespace of generated code: each value the code uses,
+    under a name made up here."""
 
-        def match_leaf(g, cid, vals):
-            home = g.hashcons.get(node)
-            return (vals,) if home is not None and g.find(home) == cid else ()
-        return match_leaf
-    op = p.op
-    if isinstance(p, Unary):
-        child = _compile(p.child, names)
-        return lambda g, cid, vals: (
-            v1 for n in g.classes[cid].nodes if n.op == op
-            for v1 in child(g, n.children[0], vals))
-    left, right = _compile(p.left, names), _compile(p.right, names)
-    return lambda g, cid, vals: (
-        v2 for n in g.classes[cid].nodes if n.op == op
-        for v1 in left(g, n.children[0], vals)
-        for v2 in right(g, n.children[1], v1))
+    def name(self, value) -> str:
+        k = f"k{len(self)}"
+        self[k] = value
+        return k
+
+
+def _plan(p: Pattern, consts: _Consts):
+    """The steps that match `p` at the class in local `cid`, in run order:
+    `("loop", node, cls, op, kids)` walks the e-nodes of operator `op` in
+    class `cls` and unpacks their children into the locals `kids`, and
+    `("same", pairs)` goes on only where each pair of locals holds one
+    class. Also returns the local bound to each pattern variable, in
+    `pattern_vars` order, and the leaf e-nodes whose classes the locals
+    `l<i>` hold."""
+    names = pattern_vars(p)
+    bound: dict[str, str] = {}
+    steps: list[tuple] = []
+    leaves: list[ENode] = []
+
+    def pair(p, cls) -> tuple[str, str]:
+        if isinstance(p, PatVar):
+            return cls, bound[p.name]
+        # a leaf e-node is stored by exactly one class, the one its hashcons
+        # entry finds: O(1), where scanning a class is not
+        leaves.append(_leaf_node(p))
+        return cls, f"l{len(leaves) - 1}"
+
+    def ready(p) -> bool:
+        # checkable by now: a leaf, or a variable bound already
+        return isinstance(p, (Var, IntConst, BoolConst)) or (
+            isinstance(p, PatVar) and p.name in bound)
+
+    def at(p, cls):
+        if isinstance(p, PatVar) and p.name not in bound:
+            bound[p.name] = cls
+            return
+        if not isinstance(p, (Unary, Binary)):
+            steps.append(("same", [pair(p, cls)]))
+            return
+        kids = (p.child,) if isinstance(p, Unary) else (p.left, p.right)
+        locs, rest = [], []
+        for i, k in enumerate(kids):
+            # a variable's first occurrence binds it where it is unpacked
+            if (isinstance(k, PatVar) and k.name not in bound
+                    and not any(k.name in pattern_vars(e) for e in kids[:i])):
+                bound[k.name] = f"v{names.index(k.name)}"
+                locs.append(bound[k.name])
+            else:
+                locs.append(f"c{len(steps)}_{i}")
+                rest.append((k, locs[-1]))
+        steps.append(("loop", f"n{len(steps)}", cls, consts.name(p.op), locs))
+        # checks that need no inner loop run before any
+        early = [(k, c) for k, c in rest if ready(k)]
+        if early:
+            steps.append(("same", [pair(k, c) for k, c in early]))
+        for k, c in rest:
+            if (k, c) not in early:
+                at(k, c)
+
+    at(p, "cid")
+    return steps, [bound[n] for n in names], leaves
+
+
+def _emit_steps(steps, vals, lines, depth, subs, defined) -> int:
+    """Append the lines of `steps` at indent `depth` and return the indent
+    of the innermost body. `defined` lists the locals set so far; past
+    `_MAX_LOOPS` loops, a generator appended to `subs` runs the rest."""
+    loops = 0
+    for at, step in enumerate(steps):
+        pad = "    " * depth
+        if step[0] == "same":
+            lines.append(f"{pad}if {' or '.join(f'{a} != {b}' for a, b in step[1])}: continue")
+            continue
+        if loops == _MAX_LOOPS:
+            name, args = f"rest{len(subs)}", ", ".join(defined)
+            sub = [f"def {name}(classes, {args}):"]
+            subs.append(sub)
+            inner = _emit_steps(steps[at:], vals, sub, 1, subs, defined)
+            sub.append("    " * inner + f"yield ({_tuple(vals)})")
+            lines.append(f"{pad}for ({_tuple(vals)}) in {name}(classes, {args}):")
+            return depth + 1
+        _, node, cls, op, kids = step
+        lines += [f"{pad}for {node} in classes[{cls}].nodes:",
+                  f"{pad}    if {node}[0] != {op}: continue",
+                  f"{pad}    {_tuple(kids)} = {node}[2]"]
+        defined = defined + kids
+        loops += 1
+        depth += 1
+    return depth
+
+
+def _search_source(p: Pattern, gather: bool, cond: Condition | None = None):
+    """A search for `p`: the name, source and constants of its function.
+    The generator form `search(g, cands=None)` yields the `(class,
+    substitution)` pairs over the classes `cands`, by default every class
+    that `p` can match. The gather form `gather(g, tick)` returns the list
+    of those whose substitution satisfies `cond`, and calls `tick` every 256
+    matches and every 256 classes after the first. Both deduplicate per
+    class and keep a deterministic order."""
+    consts = _Consts()
+    keys = [consts.name(n) for n in pattern_vars(p)]
+    steps, vals, leaves = _plan(p, consts)
+    subst = "{" + ", ".join(f"{k}: {v}" for k, v in zip(keys, vals)) + "}"
+    cands = (f"g.classes_by_op().get({steps[0][3]}, ())" if isinstance(p, (Unary, Binary))
+             else "sorted(g.classes)")
+    name = "gather" if gather else "search"
+    lines = (["def gather(g, tick):", "    classes, seen, out, i = g.classes, set(), [], 0"]
+             if gather else ["def search(g, cands=None):", "    classes, seen = g.classes, set()"])
+    for i, node in enumerate(leaves):
+        lines += [f"    l{i} = g.hashcons.get({consts.name(node)})",
+                  f"    if l{i} is None: return{' out' * gather}",
+                  f"    l{i} = g.find(l{i})"]
+    if gather:
+        lines += [f"    for j, cid in enumerate({cands}):",
+                  "        if j and not j & 255: tick()"]
+    else:
+        lines.append(f"    for cid in {cands} if cands is None else cands:")
+    subs: list[list[str]] = []
+    pad = "    " * _emit_steps(steps, vals, lines, 2, subs,
+                               ["cid"] + [f"l{i}" for i in range(len(leaves))])
+    lines += [f"{pad}m = {_tuple(['cid'] + vals)}",
+              f"{pad}if m in seen: continue",
+              f"{pad}seen.add(m)"]
+    if not gather:
+        lines.append(f"{pad}yield cid, {subst}")
+    else:
+        test = "" if cond is None else f"if {consts.name(eval_condition)}({consts.name(cond)}, g, s): "
+        lines += [f"{pad}if not i & 255: tick()",
+                  f"{pad}i += 1",
+                  f"{pad}s = {subst}",
+                  f"{pad}{test}out.append((cid, s))",
+                  "    return out"]
+    return name, "\n".join(sum(subs, []) + lines), consts
+
+
+def _apply_source(p: Pattern, build: bool):
+    """The rhs `p`: the name, source and constants of `build(g, s)`, which
+    returns the class of its instance under substitution `s`, or of
+    `apply(g, matches, tick)`, which unions each match's class with its
+    instance, calls `tick` every 256 matches and returns the number of
+    unions that merged two classes. One statement adds each e-node, in the
+    order of a left-to-right walk (a nested expression would reach Python's
+    limit on nested parentheses); its children are fresh `find` results or
+    classes that `add` just returned, so `add` can look it up as given."""
+    consts = _Consts(enode=enode)
+    keys: dict[str, str] = {}
+    rhs: list[str] = []
+
+    def go(p) -> str:
+        if isinstance(p, PatVar):
+            if p.name not in keys:
+                keys[p.name] = consts.name(p.name)
+            expr = f"find(s[{keys[p.name]}])"
+        elif isinstance(p, (Var, IntConst, BoolConst)):
+            expr = f"add({consts.name(_leaf_node(p))})"
+        else:
+            kids = [go(p.child)] if isinstance(p, Unary) else [go(p.left), go(p.right)]
+            expr = f"add(enode(({consts.name(p.op)}, None, ({_tuple(kids)}))))"
+        rhs.append(f"t{len(rhs)} = {expr}")
+        return f"t{len(rhs) - 1}"
+
+    root = go(p)
+    if build:
+        lines = ["def build(g, s):", "    find, add = g.find, g.add"]
+        lines += ["    " + line for line in rhs] + [f"    return {root}"]
+    else:
+        lines = ["def apply(g, matches, tick):",
+                 "    find, add, union, unions = g.find, g.add, g.union, 0",
+                 "    for i, (cid, s) in enumerate(matches):",
+                 "        if not i & 255: tick()"]
+        lines += ["        " + line for line in rhs]
+        lines += ["        before = find(cid)",
+                  f"        if find({root}) != before:",
+                  f"            union(before, {root})",
+                  "            unions += 1",
+                  "    return unions"]
+    return ("build" if build else "apply"), "\n".join(lines), consts
+
+
+def _tuple(items: list[str]) -> str:
+    """`items` as the elements of a tuple display, for any length."""
+    return ", ".join(items) + "," * (len(items) == 1)
+
+
+@lru_cache(maxsize=None)
+def _code(source: str):
+    # rules of one shape have one source, compiled once
+    return compile(source, "<generated>", "exec")
+
+
+def _define(name: str, source: str, consts: _Consts):
+    """Function `name` of `source`, executed in a namespace of `consts`."""
+    # a plain dict: Python specializes global loads only from one
+    namespace = dict(consts)
+    exec(_code(source), namespace)
+    return namespace[name]
 
 
 class Matcher:
-    """A pattern compiled once for e-matching. Pickles as its pattern."""
+    """A pattern compiled, on first use, for e-matching. Pickles as its
+    pattern."""
 
     def __init__(self, pattern: Pattern):
-        self.pattern, self.names = pattern, []
-        self._match = _compile(pattern, self.names)
+        self.pattern = pattern
 
     def __reduce__(self):
         return (Matcher, (self.pattern,))
 
+    @cached_property
+    def _search(self):
+        return _define(*_search_source(self.pattern, gather=False))
+
     def match_class(self, g: EGraph, cid: EClassId) -> Iterator[Substitution]:
         """Yields the matches against one e-class, deduplicated, in
-        deterministic order; lazily, so that a caller's tick can stop a
-        class with millions of matches."""
-        seen = set()
-        for vals in self._match(g, g.find(cid), ()):
-            if vals not in seen:
-                seen.add(vals)
-                yield dict(zip(self.names, vals))
+        deterministic order; lazily, so that a caller can stop a class with
+        millions of matches."""
+        return (subst for _, subst in self._search(g, (g.find(cid),)))
 
-    def search(self, g: EGraph):
+    def search(self, g: EGraph) -> Iterator[tuple[EClassId, Substitution]]:
         """Yields every (class, substitution) pair where the pattern matches,
         deduplicated per class, in deterministic order."""
-        p = self.pattern
-        # both candidate lists hold canonical ids only
-        candidates = (g.classes_by_op().get(p.op, ()) if isinstance(p, (Unary, Binary))
-                      else sorted(g.classes))
-        match, names = self._match, self.names
-        for cid in candidates:
-            seen = set()
-            for vals in match(g, cid, ()):
-                if vals not in seen:
-                    seen.add(vals)
-                    yield cid, dict(zip(names, vals))
+        return self._search(g)
 
 
 def ematch(g: EGraph, p: Pattern):
@@ -286,38 +478,18 @@ def ematch(g: EGraph, p: Pattern):
     return Matcher(p).search(g)
 
 
-def _compile_rhs(p: Pattern):
-    """Builder `b(g, subst)` that adds the e-nodes of `p` under `subst` and
-    returns the class. Its children are fresh `find` results or classes
-    `add` just returned, so `add` can look the node up as given."""
-    if isinstance(p, PatVar):
-        name = p.name
-        return lambda g, subst: g.find(subst[name])
-    if isinstance(p, (Var, IntConst, BoolConst)):
-        node = _leaf_node(p)
-        return lambda g, subst: g.add(node)
-    op = p.op
-    if isinstance(p, Unary):
-        child = _compile_rhs(p.child)
-        return lambda g, subst: g.add(enode((op, None, (child(g, subst),))))
-    left, right = _compile_rhs(p.left), _compile_rhs(p.right)
-    return lambda g, subst: g.add(enode((op, None, (left(g, subst), right(g, subst)))))
+def _no_tick():
+    pass
 
 
 def gather_matches(g: EGraph, rule: Rule,
                    tick=None) -> list[tuple[EClassId, Substitution]]:
     """Condition-filtered matches of a rule's lhs against the frozen graph.
 
-    `tick`, if given, is called periodically and may raise to abort an
-    enumeration that is taking too long.
+    `tick`, if given, is called every 256 matches and every 256 candidate
+    classes, and may raise to abort an enumeration that takes too long.
     """
-    out = []
-    for i, (cid, subst) in enumerate(rule.matcher.search(g)):
-        if tick is not None and (i & 0xFF) == 0:
-            tick()
-        if rule.cond is None or eval_condition(rule.cond, g, subst):
-            out.append((cid, subst))
-    return out
+    return rule.gather(g, tick or _no_tick)
 
 
 def apply_matches(g: EGraph, rule: Rule,
@@ -325,18 +497,9 @@ def apply_matches(g: EGraph, rule: Rule,
                   tick=None) -> int:
     """Instantiate and union pre-gathered matches; returns non-redundant unions.
 
-    `tick` is called periodically, as in gather_matches.
+    `tick` is called every 256 matches, as in gather_matches.
     """
-    unions, build = 0, rule.build
-    for i, (cid, subst) in enumerate(matches):
-        if tick is not None and (i & 0xFF) == 0:
-            tick()
-        new = build(g, subst)
-        before = g.find(cid)
-        if g.find(new) != before:
-            g.union(before, new)
-            unions += 1
-    return unions
+    return rule.apply(g, matches, tick or _no_tick)
 
 
 def apply_rule(g: EGraph, rule: Rule) -> int:

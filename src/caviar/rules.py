@@ -26,7 +26,8 @@ from .expr import (
 )
 from .matching import (
     CondAnd, CondIsConst, CondIsVar, CondNonConst, CondNonZero, CondPred,
-    Condition, Matcher, Rule, check_scope, condition_vars, pattern_vars,
+    Condition, Matcher, Rule, check_preds, check_scope, condition_vars,
+    pattern_vars,
 )
 
 # ---------------------------------------------------------------------------
@@ -134,9 +135,11 @@ class NPPattern:
         where = f"nppd {self.id}"
         check_scope(where, pattern_vars(self.pattern), "condition",
                     condition_vars(self.cond))
-        got = sort_of(self.pattern, {}, BOOL)
+        sorts: dict[str, str] = {}
+        got = sort_of(self.pattern, sorts, BOOL)
         if got != BOOL:
             raise SortError(f"{where}: pattern is {got}-sorted, expected bool")
+        check_preds(where, self.cond, sorts)
 
 
 def nppd_to_line(p: NPPattern) -> str:
@@ -176,15 +179,20 @@ def _if_cond(items) -> Condition:
 
 
 def _parse_forms(text: str, keyword: str, build) -> list:
-    """`build` applied to each `(keyword ...)` form of `text`, validated; an
-    error names the line it is on."""
-    pos, out = 0, []
+    """`build` applied to each `(keyword ...)` form of `text`, validated, and
+    named by its second atom, which no other form may repeat; an error
+    names the line it is on."""
+    pos, out, names = 0, [], set()
     try:
         for pos, v in read_sexprs(text):
             if isinstance(v, str) or not v or v[0][1] != keyword:
                 raise ParseError(f"expected ({keyword} ...) form", pos)
             item = build(v)
             item.validate()
+            off, name = v[1]
+            if name in names:
+                raise ParseError(f"duplicate {keyword} {name!r}", off)
+            names.add(name)
             out.append(item)
     except (ParseError, SortError) as e:
         at = pos if e.offset is None else e.offset
@@ -197,11 +205,7 @@ def parse_rules(text: str, name: str = "loaded") -> Ruleset:
 
 
 def parse_nppd(text: str) -> list[NPPattern]:
-    out = _parse_forms(text, "nppd", _nppd)
-    ids = [p.id for p in out]
-    if len(set(ids)) != len(ids):
-        raise ParseError("duplicate non-provable pattern ids")
-    return out
+    return _parse_forms(text, "nppd", _nppd)
 
 
 def load_rules(path) -> Ruleset:

@@ -286,6 +286,34 @@ def oracle_ematch(g: EGraph, p) -> list[tuple[int, dict]]:
     return [(cid, s) for cid in candidates for s in oracle_ematch_class(g, p, cid)]
 
 
+def oracle_instantiate(g: EGraph, p, subst: dict) -> int:
+    """Adds the e-nodes of a pattern under a substitution, children left to
+    right, and returns the class: the reference the compiled rhs is tested
+    against."""
+    if isinstance(p, PatVar):
+        return g.find(subst[p.name])
+    if isinstance(p, Var):
+        return g.add(leaf("var", p.name))
+    if isinstance(p, (IntConst, BoolConst)):
+        return g.add(leaf("int" if isinstance(p, IntConst) else "bool", p.value))
+    if isinstance(p, Unary):
+        return g.add(ENode(p.op, None, (oracle_instantiate(g, p.child, subst),)))
+    left = oracle_instantiate(g, p.left, subst)
+    return g.add(ENode(p.op, None, (left, oracle_instantiate(g, p.right, subst))))
+
+
+def oracle_apply(g: EGraph, rhs, matches) -> int:
+    """Unions each matched class with the rhs instance; returns the unions
+    that merged two classes."""
+    unions = 0
+    for cid, subst in matches:
+        new = oracle_instantiate(g, rhs, subst)
+        if g.find(new) != g.find(cid):
+            g.union(cid, new)
+            unions += 1
+    return unions
+
+
 # ---------------------------------------------------------------------------
 # Extraction by fixed-point relaxation over (cost, e-node) pairs: the
 # reference `extract_best` is tested against.

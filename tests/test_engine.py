@@ -1,5 +1,6 @@
 """Saturation engine: goal checks, stop reasons, pulsing, determinism."""
 
+import hashlib
 import math
 import time
 
@@ -241,6 +242,35 @@ def test_work_counters_pinned():
             total["enodes"] += r.enodes
     assert total == dict(iterations=150, pulses=50, matches=2208, unions=1361,
                          enodes=174)
+
+
+def test_per_rule_work_pinned(monkeypatch):
+    # each rule's own matches and unions, pinned: the totals above cannot
+    # see matches move from one rule to another
+    record, latest = [], {}
+    gather, apply = caviar.engine.gather_matches, caviar.engine.apply_matches
+
+    def gather_recorded(g, rule, tick=None):
+        ms = gather(g, rule, tick=tick)
+        latest[rule.name] = [rule.name, len(ms), 0]
+        record.append(latest[rule.name])
+        return ms
+
+    def apply_recorded(g, rule, ms, tick=None):
+        latest[rule.name][2] = apply(g, rule, ms, tick=tick)
+        return latest[rule.name][2]
+
+    monkeypatch.setattr(caviar.engine, "gather_matches", gather_recorded)
+    monkeypatch.setattr(caviar.engine, "apply_matches", apply_recorded)
+    c = cfg(deterministic=True, iter_limit=3, ilc_enabled=False,
+            nppd_enabled=False, pulse_threshold=None)
+    for name in ("provable.txt", "nonprovable.txt", "nearmiss.txt", "blowup.txt"):
+        for _, src in read_dataset(corpus_text(name))[:10]:
+            prove_pulsed(parse_infix(src), RULES, [], c, extract=False)
+    assert (len(record), sum(r[1] for r in record), sum(r[2] for r in record)) \
+        == (3999, 13111, 7263)
+    digest = hashlib.sha256(repr([tuple(r) for r in record]).encode()).hexdigest()
+    assert digest == "b36143af8099fecbf3d22b5fdeb28419616839c0f44fbd168baf026441ba9295"
 
 
 def test_time_limit_overshoot_bounded_on_largest_rows():

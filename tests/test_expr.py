@@ -212,6 +212,9 @@ def test_sexpr_comments_and_errors():
                        ("(+ a b", "missing ')' (at offset 0)"),
                        ("(+ a b) c", "unexpected trailing input (at offset 8)"),
                        ("x-y", "bad atom 'x-y' (at offset 0)"),
+                       # infix reads these only as functions
+                       ("(< min 1)", "'min' is an operator, not a variable (at offset 3)"),
+                       ("(+ 1 max)", "'max' is an operator, not a variable (at offset 5)"),
                        ("; only a comment", "empty input")]:
         with pytest.raises(ParseError) as exc:
             parse_sexpr(src)

@@ -1,7 +1,12 @@
 """E-matching, conditions, and rewrite application semantics."""
 
+import copy
+import io
+import keyword
 import pickle
 import random
+import re
+import tokenize
 
 import pytest
 
@@ -9,13 +14,14 @@ from caviar.egraph import EGraph, ENode, from_expr, leaf
 from caviar.expr import SortError, parse_infix, parse_sexpr
 from caviar.matching import (
     CondIsConst, CondNonConst, CondNonZero, CondPred, Matcher, PatVar, Rule,
-    apply_matches, apply_rule, ematch, eval_condition, gather_matches,
-    pattern_vars,
+    _apply_source, _search_source, apply_matches, apply_rule, ematch,
+    eval_condition, gather_matches, pattern_vars,
 )
 from caviar.rules import default_nppd_patterns, default_ruleset, parse_rules
 
 from .helpers import (
-    assert_canonical_storage, oracle_ematch, random_bool_expr, saturate,
+    assert_canonical_storage, oracle_apply, oracle_ematch, random_bool_expr,
+    saturate,
 )
 
 
@@ -199,16 +205,32 @@ def test_tick_can_stop_a_class_with_many_matches():
     assert len(pulled) == 257
 
 
+def oracle_gather(g, r):
+    return [(cid, s) for cid, s in oracle_ematch(g, r.lhs)
+            if r.cond is None or eval_condition(r.cond, g, s)]
+
+
+def assert_applies_as_oracle(g, rules, matches):
+    """Applies each rule's matches to `g` and to a copy by `oracle_apply`:
+    the same unions per rule, and the same graph."""
+    ref = copy.deepcopy(g)
+    for r, ms in zip(rules, matches):
+        assert apply_matches(g, r, ms) == oracle_apply(ref, r.rhs, ms), r.name
+    g.rebuild()
+    ref.rebuild()
+    assert g.dump() == ref.dump()
+
+
 def test_compiled_matcher_agrees_with_interpretive_oracle():
     # every default rule lhs and NPPD pattern, and ground variables, on
     # graphs saturated for a few iterations so that classes hold many
-    # merged, re-canonicalized e-nodes
+    # merged, re-canonicalized e-nodes; both search forms, and the rhs
     rules = default_ruleset().rules
     extra = [pat(src) for src in ("(+ x ?a)", "(< ?a (+ y ?a))", "(max ?a x)")]
     compiled = ([(r.matcher, r.lhs) for r in rules]
                 + [(p.matcher, p.pattern) for p in default_nppd_patterns()]
                 + [(Matcher(p), p) for p in extra])
-    matched, hit = 0, set()
+    matched, hit, kept = 0, set(), 0
     for seed in range(16):
         g, _ = from_expr(random_bool_expr(random.Random(seed), 4))
         for _ in range(3):
@@ -219,9 +241,99 @@ def test_compiled_matcher_agrees_with_interpretive_oracle():
                 matched += len(got)
                 if got:
                     hit.add(i)
-            saturate(g, rules, 1)
+            gathered = [gather_matches(g, r) for r in rules]
+            for r, ms in zip(rules, gathered):
+                assert ms == oracle_gather(g, r), (seed, r.name)
+                kept += len(ms)
+            assert_applies_as_oracle(g, rules, gathered)
     # the comparison is only as strong as the matches it saw
-    assert matched > 2000 and len(hit) > 90
+    assert matched > 2000 and len(hit) > 90 and kept > 1500
+
+
+ODD_NAMES = """
+(rule odd-comm (+ ?class (* ?None ?x²)) (+ (* ?x² ?None) ?class))
+(rule odd-leaf (+ None ?None) (+ ?None None) :if (nonconst ?None))
+(rule odd-pred (* ?class ?x²) (* ?x² ?class) :if (pred (< 0 ?x²)))
+"""
+
+
+def test_odd_names_compile_match_and_apply():
+    # pattern variables and leaves named as Python keywords or with
+    # characters Python identifiers cannot hold reach the generated code
+    # only as constants
+    rules = parse_rules(ODD_NAMES).rules
+    g, _ = from_expr(parse_infix("None + a * b + (c + 3 * None)"))
+    for _ in range(3):
+        for r in rules:
+            assert list(r.matcher.search(g)) == oracle_ematch(g, r.lhs), r.name
+        gathered = [gather_matches(g, r) for r in rules]
+        assert [ms == oracle_gather(g, r) for r, ms in zip(rules, gathered)] == [True] * 3
+        assert_applies_as_oracle(g, rules, gathered)
+    assert all(gather_matches(g, r) for r in rules)
+
+
+def generated_sources(r):
+    return [_search_source(r.lhs, True, r.cond)[1], _search_source(r.lhs, False)[1],
+            _apply_source(r.rhs, False)[1], _apply_source(r.rhs, True)[1]]
+
+
+def test_generated_source_holds_only_made_up_names():
+    # no variable name, leaf name, operator symbol or literal of a rule
+    # reaches the generated source: it is made of keywords, a few builtins,
+    # the emitter's own names and small integers
+    allowed = set(keyword.kwlist) | {"set", "enumerate", "sorted"}
+    odd = parse_rules(ODD_NAMES + "(rule zqrule (+ zqleaf (* ?zqvar 9137)) "
+                      "(- ?zqvar (* 9137 zqleaf)) :if (pred (< 8191 ?zqvar)))").rules
+    for r in default_ruleset().rules + odd:
+        for source in generated_sources(r):
+            assert not re.search("zq|9137|8191", source)
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+                if tok.type == tokenize.NAME:
+                    assert tok.string in allowed or re.fullmatch(r"[a-z_]+[0-9_]*", tok.string), \
+                        (r.name, tok.string)
+                    assert tok.string not in pattern_vars(r.lhs) or tok.string in allowed
+                assert tok.type != tokenize.STRING, (r.name, tok.string)
+                if tok.type == tokenize.NUMBER:
+                    assert tok.string in ("0", "1", "2", "255"), (r.name, tok.string)
+
+
+def test_large_patterns_compile():
+    # past 16 e-node loops a match continues in a generator of its own, and
+    # a deep rhs is one statement per e-node: Python limits nested blocks to
+    # 20 and nested parentheses to 200
+    n = 40
+    lhs = "?a0"
+    for i in range(1, n + 1):
+        lhs = f"(+ {lhs} ?a{i})"
+    rhs = "?a0"
+    for i in range(1, n + 1):
+        rhs = f"(+ ?a{i} {rhs})"
+    r = rule(f"(rule big {lhs} {rhs})")
+    src = "v0"
+    for i in range(1, n + 1):
+        src = f"({src} + v{i % 7})"
+    g, root = from_expr(parse_infix(src))
+    got = list(r.matcher.search(g))
+    assert got == oracle_ematch(g, r.lhs) and [cid for cid, _ in got] == [root]
+    ms = gather_matches(g, r)
+    assert ms == got
+    assert_applies_as_oracle(g, [r], [ms])
+
+
+def test_search_ticks_per_256_matches_and_classes():
+    # a tick at match 0 and every 256 matches, and at every 256th candidate
+    # class but never the first, so a small search ticks only if it matches
+    ticks = []
+    g, _ = from_expr(parse_infix("a + a"))
+    gather_matches(g, rule("(rule r (+ ?x ?x) ?x)"), tick=lambda: ticks.append(1))
+    assert len(ticks) == 1
+    g = EGraph()
+    for i in range(600):
+        g.add(ENode("+", None, (g.add(leaf("var", f"x{i}")), g.add(leaf("var", f"y{i}")))))
+    g.rebuild()
+    ticks.clear()
+    assert gather_matches(g, rule("(rule r (+ ?x ?x) ?x)"), tick=lambda: ticks.append(1)) == []
+    assert len(ticks) == 2
 
 
 def test_rule_ops_filter_is_sound():

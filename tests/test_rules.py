@@ -51,8 +51,9 @@ def test_parse_rule_errors():
         parse_rules("(rule bad-sort (+ ?a ?b) (&& ?a ?b))")
     with pytest.raises(SortError):
         parse_rules("(rule bad-cond-var (+ ?a 0) ?a :if (nonzero ?c))")
-    with pytest.raises(ValueError):
-        parse_rules("(rule dup (+ ?a 0) ?a)\n(rule dup (* ?a 1) ?a)")
+    with pytest.raises(ParseError, match=r"^line 4: duplicate rule 'dup'$"):
+        parse_rules("(rule dup (+ ?a 0) ?a)\n(rule e (* ?a 1) ?a)\n\n"
+                    "(rule dup (- ?a 0) ?a)")
 
 
 def test_rule_round_trip():
@@ -118,9 +119,21 @@ def test_nppd_condition_variables_are_scoped():
 def test_nppd_parse_errors():
     with pytest.raises(ParseError):
         parse_nppd("(nppd p1 (!= ?x ?c))")  # missing condition
-    with pytest.raises(ParseError):
-        parse_nppd("(nppd p (!= ?x ?c) :if (const ?c))\n"
-                   "(nppd p (== ?x ?c) :if (const ?c))")  # duplicate ids
+    with pytest.raises(ParseError, match=r"^line 3: duplicate nppd 'p'$"):
+        parse_nppd("; ids\n(nppd p (!= ?x ?c) :if (const ?c))\n"
+                   "(nppd p (== ?x ?c) :if (const ?c))")
+
+
+def test_pred_conditions_are_sort_checked():
+    # a pred is a boolean term over the pattern's variables, at their sorts
+    for text in ["(rule r (+ ?a ?c) ?a :if (pred (+ ?c 1)))",
+                 "(rule r (+ ?a ?c) ?a :if (and (const ?c) (pred ?c)))",
+                 "(rule r (&& ?a ?b) ?a :if (pred (< ?a 1)))"]:
+        with pytest.raises(SortError, match=r"^line 1: "):
+            parse_rules(text)
+    with pytest.raises(SortError, match=r"^line 2: nppd p: pred is int-sorted, expected bool"):
+        parse_nppd("\n(nppd p (!= ?x ?c) :if (pred (% ?c 2)))")
+    parse_rules("(rule r (&& ?a ?b) ?a :if (pred (|| ?a (< 0 3))))")
 
 
 def test_pred_abs_shorthand():
