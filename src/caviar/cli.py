@@ -132,6 +132,8 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_prove(args) -> int:
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     cfg = _build_config(args, proving=True)
     rules = _load_rules(args)
     if args.no_nppd:

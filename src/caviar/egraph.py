@@ -59,7 +59,8 @@ class EGraph:
         # bumped on every structural change; the saturation engine compares
         # it across an iteration to detect saturation
         self.version = 0
-        self._op_index: tuple[int, dict[str, list[EClassId]]] = (-1, {})
+        # (version, classes_by_op, shape), computed together once per version
+        self._index: tuple[int, dict[str, list[EClassId]], frozenset] = (-1, {}, frozenset())
 
     # -- union-find --------------------------------------------------------
 
@@ -196,18 +197,35 @@ class EGraph:
 
     # -- queries -----------------------------------------------------------
 
+    def _indexed(self) -> tuple[int, dict[str, list[EClassId]], frozenset]:
+        index = self._index
+        if index[0] == self.version:
+            return index
+        by_op: dict[str, list[EClassId]] = {}
+        ops_of: dict[EClassId, set[str]] = {}
+        classes = self.classes
+        for cid in sorted(classes):
+            ops = ops_of[cid] = {n.op for n in classes[cid].nodes}
+            for op in ops:
+                by_op.setdefault(op, []).append(cid)
+        shape = {(n.op, i, child_op) for cls in classes.values() for n in cls.nodes
+                 for i, c in enumerate(n.children) for child_op in ops_of[c]}
+        shape.update(by_op)
+        index = self._index = (self.version, by_op, frozenset(shape))
+        return index
+
     def classes_by_op(self) -> dict[str, list[EClassId]]:
         """Sorted, distinct ids of the classes holding an e-node of each
         operator symbol. Cached per graph version; valid after rebuild."""
-        version, index = self._op_index
-        if version == self.version:
-            return index
-        index = {}
-        for cid in sorted(self.classes):
-            for op in {n.op for n in self.classes[cid].nodes}:
-                index.setdefault(op, []).append(cid)
-        self._op_index = (self.version, index)
-        return index
+        return self._indexed()[1]
+
+    def shape(self) -> frozenset:
+        """The operator symbols of the stored e-nodes, and the
+        `(op, child index, child op)` triples of an e-node of operator `op`
+        whose child class stores an e-node of `child op`: a pattern whose
+        `Rule.shape` is not a subset has no match. Cached with
+        `classes_by_op`."""
+        return self._indexed()[2]
 
     def class_data(self, cid: EClassId):
         return self.classes[self.find(cid)].data

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 from .egraph import EClassId, EGraph, from_expr
 from .expr import BOOL, BoolConst, Expr, SortError, sort_of
-from .extraction import AST_SIZE, extract_best
+from .extraction import AST_SIZE, extract_best, extract_graph
 from .matching import apply_matches, eval_condition, gather_matches
 from .rules import NPPattern
 
@@ -60,12 +60,17 @@ class EngineConfig:
     pulse_iters: int = 5
 
     def __post_init__(self):
-        if self.time_limit <= 0:
-            raise ValueError("time_limit must be positive")
+        # a NaN deadline never passes, so neither pulses nor the limit fire
+        if not 0 < self.time_limit < math.inf:
+            raise ValueError("time_limit must be positive and finite")
+        if self.iter_limit < 0:
+            raise ValueError("iter_limit must not be negative")
+        if self.node_limit < 1:
+            raise ValueError("node_limit must be at least 1")
         if self.pulse_threshold is not None:
             # a zero pulse period restarts without ever saturating
-            if self.pulse_threshold <= 0:
-                raise ValueError("pulse_threshold must be positive")
+            if not 0 < self.pulse_threshold < math.inf:
+                raise ValueError("pulse_threshold must be positive and finite")
             if self.pulse_threshold > self.time_limit:
                 raise ValueError("pulse_threshold must not exceed time_limit")
         if self.pulse_iters < 1:
@@ -188,9 +193,10 @@ def run_saturation(g: EGraph, root: EClassId, rules, cfg: EngineConfig,
             return StopReason(clock.stop_kind)
 
         version_before = g.version
-        # a rule whose lhs has an operator the graph lacks cannot match it
-        present = set(g.classes_by_op())
-        active = [rule for rule in rules if rule.ops <= present]
+        # a rule whose lhs has an operator or a parent-child operator pair
+        # that the graph lacks cannot match it
+        shape = g.shape()
+        active = [rule for rule in rules if rule.shape <= shape]
         try:
             all_matches = [gather_matches(g, rule, tick=match_tick) for rule in active]
             unions = sum(apply_matches(g, rule, ms, tick=apply_tick)
@@ -224,8 +230,8 @@ def _saturate(expr: Expr, rules, patterns: list[NPPattern] | None,
     """The pulsed loop shared by every entry point: saturate until the pulse
     period runs out, restart from the smallest form found so far, and stop
     at a definite result or at the end of the clock's budget."""
+    g, root = from_expr(expr)
     while True:
-        g, root = from_expr(expr)
         deadline = clock.limit
         if clock.pulse is not None:
             deadline = min(deadline, clock.now() + clock.pulse)
@@ -234,8 +240,9 @@ def _saturate(expr: Expr, rules, patterns: list[NPPattern] | None,
         root = g.find(root)
         if stop.kind != clock.stop_kind or clock.now() >= clock.limit:
             return g, root, stop
-        # pulse boundary: restart from the best expression found so far
-        expr, _ = extract_best(g, root, AST_SIZE)
+        # pulse boundary: restart from the e-nodes of the best expression
+        # found so far
+        g, root = extract_graph(g, root, AST_SIZE)
         clock.pulses += 1
 
 

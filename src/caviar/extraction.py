@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .egraph import EClassId, EGraph, ENode
+from .egraph import EClassId, EGraph, ENode, enode
 from .expr import Binary, BoolConst, Expr, IntConst, Unary, Var
 
 AST_SIZE = "ast-size"
@@ -18,10 +18,16 @@ def _node_key(n: ENode):
     return (_OP_ORDINAL[n.op], n.children, repr(n.payload))
 
 
-def _class_costs(g: EGraph, depth: bool) -> dict[EClassId, int]:
+def _relax(g: EGraph, depth: bool) -> tuple[dict[EClassId, int], dict[EClassId, ENode]]:
     """The least cost of a finite term of each class that has one, by
-    relaxing integer costs to their fixed point."""
+    relaxing integer costs to their fixed point, and the class's e-node of
+    that cost, ties broken by `_node_key`.
+
+    Costs only fall, so a pick keeps its cost until a cheaper e-node
+    replaces it, and the last pass, which changes nothing, compares every
+    tie against it under the final costs."""
     cost: dict[EClassId, int] = {}
+    pick: dict[EClassId, ENode] = {}
     get = cost.get
     changed = True
     while changed:
@@ -30,6 +36,7 @@ def _class_costs(g: EGraph, depth: bool) -> dict[EClassId, int]:
             old = best = get(cid)
             if old == 1:
                 continue  # holds a leaf: no term costs less
+            chosen = prev = pick.get(cid)
             for n in cls.nodes:
                 c = 0
                 for child in n.children:
@@ -40,47 +47,43 @@ def _class_costs(g: EGraph, depth: bool) -> dict[EClassId, int]:
                 else:
                     c += 1
                     if best is None or c < best:
-                        best = c
+                        best, chosen = c, n
+                    elif c == best and n is not chosen and _node_key(n) < _node_key(chosen):
+                        chosen = n
+            if chosen is not prev:
+                pick[cid] = chosen
             if best != old:
                 cost[cid] = best
                 changed = True
-    return cost
+    return cost, pick
 
 
-def _node_cost(n: ENode, cost: dict[EClassId, int], depth: bool) -> int | None:
-    """An e-node's cost from its children's, or None if one has none yet."""
-    c = 0
-    for child in n.children:
-        k = cost.get(child)
-        if k is None:
-            return None
-        c = (k if k > c else c) if depth else c + k
-    return c + 1
+def _picks(g: EGraph, root: EClassId, cost_model: str):
+    """The root's canonical id, its class costs and its picked e-nodes."""
+    root = g.find(root)
+    cost, pick = _relax(g, cost_model == AST_DEPTH)
+    if root not in cost:
+        raise RuntimeError(f"class {root} has no extractable finite term")
+    return root, cost, pick
 
 
 def extract_best(g: EGraph, root: EClassId, cost_model: str = AST_SIZE) -> tuple[Expr, int]:
     """Minimum-cost representative of a class.
 
-    Integer costs are relaxed to their fixed point first; then each class
-    the term reaches picks, once, its e-node of least cost, ties broken by
-    operator ordinal, then by the children's canonical class ids, so
-    extraction is deterministic for a given graph. Reads the stored e-nodes,
-    so the graph must be rebuilt.
+    Integer costs are relaxed to their fixed point, and each class picks on
+    the way its e-node of least cost, ties broken by operator ordinal, then
+    by the children's canonical class ids, so extraction is deterministic
+    for a given graph. Reads the stored e-nodes, so the graph must be
+    rebuilt.
     """
-    root = g.find(root)
-    depth = cost_model == AST_DEPTH
-    cost = _class_costs(g, depth)
-    if root not in cost:
-        raise RuntimeError(f"class {root} has no extractable finite term")
+    root, cost, pick = _picks(g, root, cost_model)
     terms: dict[EClassId, Expr] = {}
 
     def build(cid: EClassId) -> Expr:
         term = terms.get(cid)
         if term is not None:
             return term
-        k = cost[cid]
-        n = min((n for n in g.classes[cid].nodes if _node_cost(n, cost, depth) == k),
-                key=_node_key)
+        n = pick[cid]
         if n.op == "var":
             term = Var(n.payload)
         elif n.op == "int":
@@ -95,6 +98,31 @@ def extract_best(g: EGraph, root: EClassId, cost_model: str = AST_SIZE) -> tuple
         return term
 
     return build(root), cost[root]
+
+
+def extract_graph(g: EGraph, root: EClassId,
+                  cost_model: str = AST_SIZE) -> tuple[EGraph, EClassId]:
+    """`from_expr(extract_best(g, root, cost_model)[0])` without the term:
+    the root's picked e-nodes go into a fresh graph in post-order, left to
+    right, each class once. `from_expr` adds the same e-nodes in the same
+    order, since a second visit of a shared subterm only hits the
+    hashcons."""
+    root, _, pick = _picks(g, root, cost_model)
+    out = EGraph()
+    copied: dict[EClassId, EClassId] = {}
+
+    def copy(cid: EClassId) -> EClassId:
+        new = copied.get(cid)
+        if new is None:
+            n = pick[cid]
+            if n.children:
+                n = enode((n.op, None, tuple([copy(c) for c in n.children])))
+            new = copied[cid] = out.add(n)
+        return new
+
+    new_root = copy(root)
+    out.rebuild()
+    return out, out.find(new_root)
 
 
 def enumerate_terms(g: EGraph, cid: EClassId, depth: int) -> set:

@@ -35,15 +35,6 @@ def pattern_vars(p: Pattern) -> list[str]:
     return out
 
 
-def pattern_ops(p: Pattern) -> frozenset[str]:
-    """Operator symbols of a pattern's `Unary`/`Binary` nodes."""
-    if isinstance(p, Unary):
-        return pattern_ops(p.child) | {p.op}
-    if isinstance(p, Binary):
-        return pattern_ops(p.left) | pattern_ops(p.right) | {p.op}
-    return frozenset()
-
-
 # ---------------------------------------------------------------------------
 # Conditions. Decidable from per-class constant data only.
 
@@ -187,10 +178,25 @@ class Rule:
         return Matcher(self.lhs)
 
     @cached_property
-    def ops(self) -> frozenset[str]:
-        """The lhs's operator symbols: the rule can match only a graph that
-        holds an e-node of each (leaves are left out, so this is safe)."""
-        return pattern_ops(self.lhs)
+    def shape(self) -> frozenset:
+        """The lhs's operator symbols and its `(op, child index, child op)`
+        triples between operator nodes. A match maps each onto a stored
+        e-node whose child class stores that operator, so the rule can match
+        only a graph whose `EGraph.shape()` holds them all (leaves are left
+        out, so this is safe)."""
+        out = set()
+
+        def go(p):
+            if isinstance(p, (Unary, Binary)):
+                out.add(p.op)
+                kids = (p.child,) if isinstance(p, Unary) else (p.left, p.right)
+                for i, k in enumerate(kids):
+                    if isinstance(k, (Unary, Binary)):
+                        out.add((p.op, i, k.op))
+                    go(k)
+
+        go(self.lhs)
+        return frozenset(out)
 
     # the compiled forms, each built on first use
     @cached_property

@@ -110,7 +110,7 @@ def test_pulse_iters_must_be_positive(capsys):
     assert "pulse_iters" in err
 
 
-@pytest.mark.parametrize("pulse", ["0", "-1"])
+@pytest.mark.parametrize("pulse", ["0", "-1", "nan"])
 def test_pulse_must_be_positive(capsys, pulse):
     # a zero pulse period ran empty pulses until the timeout
     code, out, err = run_cli(capsys, "prove", "--expr", "x * 3 < x * 3 + 1",
@@ -118,6 +118,20 @@ def test_pulse_must_be_positive(capsys, pulse):
     assert code == 2
     assert out == ""
     assert "error: pulse_threshold must be positive" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--timeout", "nan"], ["--timeout", "inf"],
+    ["--iter-limit", "-3", "--deterministic"], ["--node-limit", "0"],
+    ["--jobs", "0"], ["--jobs", "-1"],
+])
+def test_nonsense_limits_are_usage_errors(capsys, flags):
+    # a NaN deadline never passes, so a blown-up row would run to the node
+    # limit; the others would run as some other limit without a word
+    code, out, err = run_cli(capsys, "prove", "--expr", "x * 3 < x * 3 + 1", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_config_banner_variants(capsys):

@@ -4,13 +4,15 @@ import random
 
 from caviar.egraph import from_expr
 from caviar.expr import ast_size, evaluate, free_vars, parse_infix
-from caviar.extraction import AST_DEPTH, AST_SIZE, enumerate_terms, extract_best
+from caviar.extraction import (
+    AST_DEPTH, AST_SIZE, enumerate_terms, extract_best, extract_graph,
+)
 from caviar.matching import apply_rule
 from caviar.rules import default_ruleset, parse_rules
 
 from .helpers import (
-    exprs_agree, oracle_extract_best, random_congruence_graph, random_expr,
-    random_int_expr, saturate,
+    exprs_agree, oracle_extract_best, random_bool_expr, random_congruence_graph,
+    random_expr, random_int_expr, saturate,
 )
 
 SHRINKING_RULES = parse_rules("""
@@ -91,7 +93,7 @@ def test_extracted_term_is_equivalent():
         assert exprs_agree(e, best, rng, trials=100), (seed, e, best)
 
 
-def test_extract_best_agrees_with_relaxation_oracle():
+def _relaxation_graphs() -> list:
     # plain random graphs, and graphs after a few iterations of the default
     # rules, whose classes hold many tied and cyclic e-nodes
     rules = default_ruleset().rules
@@ -101,6 +103,11 @@ def test_extract_best_agrees_with_relaxation_oracle():
         g, _ = from_expr(random_expr(random.Random(seed), 4))
         saturate(g, rules, 3)
         graphs.append(g)
+    return graphs
+
+
+def test_extract_best_agrees_with_relaxation_oracle():
+    graphs = _relaxation_graphs()
     checked = 0
     for i, g in enumerate(graphs):
         roots = random.Random(i).sample(sorted(g.classes), min(8, len(g.classes)))
@@ -109,3 +116,25 @@ def test_extract_best_agrees_with_relaxation_oracle():
                 assert extract_best(g, root, cm) == oracle_extract_best(g, root, cm), (i, root, cm)
                 checked += 1
     assert checked > 300 and max(len(g.hashcons) for g in graphs) > 400
+
+
+def test_extract_graph_equals_rebuilding_from_the_term():
+    # a pulse restarts from the copied e-nodes; the copy must be the graph
+    # that `from_expr` builds from the extracted term, ids included
+    rules = default_ruleset().rules
+    graphs = _relaxation_graphs()
+    for seed in range(12):
+        g, _ = from_expr(random_bool_expr(random.Random(seed), 4))
+        saturate(g, rules, 3)
+        graphs.append(g)
+    checked = 0
+    for i, g in enumerate(graphs):
+        roots = random.Random(i).sample(sorted(g.classes), min(24, len(g.classes)))
+        for root in roots:
+            for cm in (AST_SIZE, AST_DEPTH):
+                copy, copy_root = extract_graph(g, root, cm)
+                ref, ref_root = from_expr(extract_best(g, root, cm)[0])
+                assert (copy.dump(), copy_root, copy._uf) == (ref.dump(), ref_root, ref._uf), \
+                    (i, root, cm)
+                checked += 1
+    assert checked > 1000

@@ -336,18 +336,22 @@ def test_search_ticks_per_256_matches_and_classes():
     assert len(ticks) == 2
 
 
-def test_rule_ops_filter_is_sound():
-    # a rule whose lhs has an operator the graph lacks has no match in it
+def test_rule_shape_filter_is_sound():
+    # a rule whose lhs has an operator or a parent-child operator pair that
+    # the graph lacks has no match in it
     rules = default_ruleset().rules
-    assert rule("(rule r (+ ?a (* ?b 2)) ?a)").ops == {"+", "*"}
-    assert rule("(rule r (! true) false)").ops == {"!"}
+    assert rule("(rule r (+ ?a (* ?b 2)) ?a)").shape == {"+", "*", ("+", 1, "*")}
+    assert rule("(rule r (! true) false)").shape == {"!"}
+    g, _ = from_expr(parse_infix("a + b * 2"))
+    assert g.shape() == {"+", "*", "var", "int", ("+", 0, "var"), ("+", 1, "*"),
+                         ("*", 0, "var"), ("*", 1, "int")}
     skipped = 0
     for seed in range(16):
         g, _ = from_expr(random_bool_expr(random.Random(seed), 3))
         for _ in range(3):
-            present = g.classes_by_op().keys()
+            shape = g.shape()
             for r in rules:
-                if not r.ops <= present:
+                if not r.shape <= shape:
                     assert list(r.matcher.search(g)) == [], (seed, r.name)
                     skipped += 1
             saturate(g, rules, 1)
