@@ -193,7 +193,7 @@ def main(argv=None) -> int:
             return _cmd_prove(args)
         return _cmd_simplify(args)
     except ConstantContradiction as exc:
-        print(f"fatal: constant contradiction: {exc}", file=sys.stderr)
+        print(f"fatal: {exc}", file=sys.stderr)
         return 3
     except (ParseError, SortError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

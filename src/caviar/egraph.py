@@ -86,25 +86,36 @@ class EGraph:
         # the rhs builder and `add_expr` pass canonical children, so try the
         # node as given first; a stale key found here still names a
         # congruent class, so the answer is right for any caller
-        hashcons = self.hashcons
+        hashcons, uf = self.hashcons, self._uf
         existing = hashcons.get(n)
         if existing is None:
-            canon = self.canonicalize(n)
-            if canon is not n:
-                n = canon
-                existing = hashcons.get(n)
+            for c in n.children:
+                if uf[c] != c:
+                    n = self.canonicalize(n)
+                    existing = hashcons.get(n)
+                    break
         if existing is not None:
-            return self.find(existing)
-        cid = len(self._uf)
-        self._uf.append(cid)
+            return existing if uf[existing] == existing else self.find(existing)
+        cid = len(uf)
+        uf.append(cid)
         classes = self.classes
         cls = classes[cid] = EClass(n)
         hashcons[n] = cid
-        for c in n.children:
-            classes[c].parents.append((n, cid))
-        cls.data = analysis.make(n.op, n.payload, tuple([classes[c].data for c in n.children]))
-        if cls.data is not None:
-            self._materialize_const(cid)
+        op, payload, children = n
+        if children:
+            data = []
+            for c in children:
+                child = classes[c]
+                child.parents.append((n, cid))
+                data.append(child.data)
+            # folds only when every child holds a datum
+            if None not in data:
+                cls.data = analysis.make(op, payload, tuple(data))
+                if cls.data is not None:
+                    self._materialize_const(cid)
+        elif op == LEAF_INT or op == LEAF_BOOL:
+            # a literal is its own datum and its own literal e-node
+            cls.data = payload
         self.version += 1
         return cid
 
@@ -121,12 +132,14 @@ class EGraph:
             self.union(other, cid)
 
     def union(self, a: EClassId, b: EClassId) -> EClassId:
-        fa, fb = self.find(a), self.find(b)
+        uf = self._uf
+        fa = a if uf[a] == a else self.find(a)
+        fb = b if uf[b] == b else self.find(b)
         if fa == fb:
             return fa
         keep, gone = (fa, fb) if fa < fb else (fb, fa)
         kc, gc = self.classes[keep], self.classes.pop(gone)
-        self._uf[gone] = keep
+        uf[gone] = keep
         # the join's context is formatted only where it can raise
         if kc.data is not None and gc.data is not None:
             analysis.join(kc.data, gc.data, context=f"union of classes {keep} and {gone}")
@@ -157,14 +170,15 @@ class EGraph:
 
     def _repair(self, cid: EClassId) -> None:
         cls = self.classes[cid]
-        find, classes, hashcons = self.find, self.classes, self.hashcons
+        find, uf, classes, hashcons = self.find, self._uf, self.classes, self.hashcons
         # taken out first: a union below may merge this class, and the
         # surviving class keeps its own parents (queued for repair) plus these
         parents, cls.parents = cls.parents, []
         new_parents: dict[ENode, EClassId] = {}
         for pnode, pclass in parents:
             pnode2 = self.canonicalize(pnode)
-            pclass = find(pclass)
+            if uf[pclass] != pclass:
+                pclass = find(pclass)
             prev = new_parents.get(pnode2)
             if pnode2 is pnode and prev is None:
                 # still canonical and not congruent to an earlier parent: its
@@ -178,12 +192,18 @@ class EGraph:
                 pclass = self.union(prev, pclass)
             new_parents[pnode2] = pclass
             hashcons[pnode2] = pclass
-        classes[find(cid)].parents.extend(new_parents.items())
-        # propagate constant data upward; a parent with a child of no datum
-        # folds to nothing
+        cls = classes[cid if uf[cid] == cid else find(cid)]
+        cls.parents.extend(new_parents.items())
+        # propagate constant data upward. A parent folds only when every
+        # child holds a datum, and each has this class as a child: with no
+        # datum here, none folds, and so nothing below can give it one
+        if cls.data is None:
+            return
         for pnode, pclass in new_parents.items():
-            pclass = find(pclass)
-            child_data = tuple([classes[find(c)].data for c in pnode.children])
+            if uf[pclass] != pclass:
+                pclass = find(pclass)
+            child_data = tuple([classes[c if uf[c] == c else find(c)].data
+                                for c in pnode.children])
             if None in child_data:
                 continue
             pcls = classes[pclass]

@@ -7,10 +7,8 @@ a fresh engine, so rows are independent and can run in parallel.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-import statistics
 from dataclasses import asdict, dataclass
 
 from .engine import EngineConfig, NON_PROVABLE, PROVED, prove_pulsed
@@ -137,6 +135,9 @@ def run_dataset(text: str, rules: list[Rule], patterns: list[NPPattern],
 
 
 def summarize(rows: list[Row]) -> Summary:
+    # the report modules are imported where a report is made, so that a
+    # process that only proves does not load them
+    import statistics
     s = Summary(total=len(rows))
     times = []
     for r in rows:
@@ -164,6 +165,7 @@ def summarize(rows: list[Row]) -> Summary:
 
 
 def emit_csv(rows: list[Row]) -> str:
+    import csv
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(CSV_HEADER)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import count
 from typing import Iterator, Union
 
 from .egraph import EClassId, EGraph, ENode, enode, leaf
@@ -220,9 +221,10 @@ class Rule:
         where, bound = f"rule {self.name}", pattern_vars(self.lhs)
         check_scope(where, bound, "rhs", pattern_vars(self.rhs))
         check_scope(where, bound, "condition", condition_vars(self.cond))
-        sort = root_sort(self.lhs) or root_sort(self.rhs)
-        if sort is None:
-            raise SortError(f"{where}: cannot determine sort of bare-variable rule")
+        if isinstance(self.lhs, PatVar):
+            # it would match every class, of either sort
+            raise SortError(f"{where}: lhs is a bare pattern variable")
+        sort = root_sort(self.lhs)
         env: dict[str, str] = {}
         for side, p in (("lhs", self.lhs), ("rhs", self.rhs)):
             got = sort_of(p, env, sort)
@@ -397,38 +399,46 @@ def _apply_source(p: Pattern, build: bool):
     instance, calls `tick` every 256 matches and returns the number of
     unions that merged two classes. One statement adds each e-node, in the
     order of a left-to-right walk (a nested expression would reach Python's
-    limit on nested parentheses); its children are fresh `find` results or
-    classes that `add` just returned, so `add` can look it up as given."""
+    limit on nested parentheses); its children are roots or classes that
+    `add` just returned, so `add` can look it up as given. `find` runs only
+    on an id that is not a root."""
     consts = _Consts(enode=enode)
     keys: dict[str, str] = {}
     rhs: list[str] = []
+    temps = count()
 
     def go(p) -> str:
         if isinstance(p, PatVar):
             if p.name not in keys:
                 keys[p.name] = consts.name(p.name)
-            expr = f"find(s[{keys[p.name]}])"
-        elif isinstance(p, (Var, IntConst, BoolConst)):
+            t = f"t{next(temps)}"
+            rhs.extend([f"{t} = s[{keys[p.name]}]", f"if uf[{t}] != {t}: {t} = find({t})"])
+            return t
+        if isinstance(p, (Var, IntConst, BoolConst)):
             expr = f"add({consts.name(_leaf_node(p))})"
         else:
             kids = [go(p.child)] if isinstance(p, Unary) else [go(p.left), go(p.right)]
             expr = f"add(enode(({consts.name(p.op)}, None, ({_tuple(kids)}))))"
-        rhs.append(f"t{len(rhs)} = {expr}")
-        return f"t{len(rhs) - 1}"
+        t = f"t{next(temps)}"
+        rhs.append(f"{t} = {expr}")
+        return t
 
     root = go(p)
     if build:
-        lines = ["def build(g, s):", "    find, add = g.find, g.add"]
+        lines = ["def build(g, s):", "    find, add, uf = g.find, g.add, g._uf"]
         lines += ["    " + line for line in rhs] + [f"    return {root}"]
     else:
         lines = ["def apply(g, matches, tick):",
-                 "    find, add, union, unions = g.find, g.add, g.union, 0",
+                 "    find, add, union, uf, unions = g.find, g.add, g.union, g._uf, 0",
                  "    for i, (cid, s) in enumerate(matches):",
                  "        if not i & 255: tick()"]
         lines += ["        " + line for line in rhs]
-        lines += ["        before = find(cid)",
-                  f"        if find({root}) != before:",
-                  f"            union(before, {root})",
+        lines.append("        if uf[cid] != cid: cid = find(cid)")
+        if not isinstance(p, PatVar):
+            # a fold in a later `add` may have merged an earlier result
+            lines.append(f"        if uf[{root}] != {root}: {root} = find({root})")
+        lines += [f"        if {root} != cid:",
+                  f"            union(cid, {root})",
                   "            unions += 1",
                   "    return unions"]
     return ("build" if build else "apply"), "\n".join(lines), consts

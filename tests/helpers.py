@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from caviar import analysis
-from caviar.egraph import EGraph, ENode, leaf
+from caviar.egraph import EClass, EGraph, ENode, leaf
 from caviar.extraction import AST_DEPTH, _node_key
 from caviar.expr import (
     ARITH_OPS, CMP_OPS, LOGIC_OPS,
@@ -154,10 +154,40 @@ def brute_force_congruence(added, unions):
 
 
 class OracleEGraph(EGraph):
-    """The e-graph with the full repair: every parent entry of a repaired
-    class is re-keyed in the hashcons and re-folded, and its class marked
+    """The e-graph with the full add and repair: `add` canonicalizes any
+    node it does not find as given, folds over all children and adds the
+    literal e-node of every datum; the repair re-keys every parent entry of
+    a repaired class in the hashcons and re-folds it, and marks its class
     stale, whether or not it changed; `union` formats its join context on
-    every call. The reference the incremental repair is tested against."""
+    every call. The reference the incremental write path is tested against.
+    It counts the fresh literal leaves it adds and the repairs of classes
+    with no datum, which the write path skips work on."""
+
+    def __init__(self):
+        super().__init__()
+        self.literal_leaves = 0
+        self.bare_repairs = 0
+
+    def add(self, n):
+        existing = self.hashcons.get(n)
+        if existing is None:
+            n = self.canonicalize(n)
+            existing = self.hashcons.get(n)
+        if existing is not None:
+            return self.find(existing)
+        cid = len(self._uf)
+        self._uf.append(cid)
+        cls = self.classes[cid] = EClass(n)
+        self.hashcons[n] = cid
+        for c in n.children:
+            self.classes[c].parents.append((n, cid))
+        cls.data = analysis.make(n.op, n.payload,
+                                 tuple(self.classes[c].data for c in n.children))
+        if cls.data is not None:
+            self.literal_leaves += not n.children
+            self._materialize_const(cid)
+        self.version += 1
+        return cid
 
     def union(self, a, b):
         fa, fb = self.find(a), self.find(b)
@@ -193,6 +223,7 @@ class OracleEGraph(EGraph):
             new_parents[pnode2] = pclass
             self.hashcons[pnode2] = pclass
         self.classes[self.find(cid)].parents.extend(new_parents.items())
+        self.bare_repairs += self.classes[self.find(cid)].data is None
         for pnode, pclass in new_parents.items():
             pclass = self.find(pclass)
             pcls = self.classes[pclass]

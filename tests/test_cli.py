@@ -210,7 +210,18 @@ def test_unsound_rules_fatal_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "prove", "--expr", "x * 0 <= 5",
                            "--deterministic", "--rules", str(rules))
     assert code == 3
-    assert "contradiction" in err
+    assert err.count("constant contradiction") == 1
+    assert "fatal: constant contradiction: " in err
+
+
+def test_bare_variable_lhs_rule_file_exit_code(tmp_path, capsys):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("(rule pad ?a (+ ?a 0))\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "prove", "--expr", "1 < 2 || x < 3",
+                             "--deterministic", "--rules", str(rules))
+    assert code == 2
+    assert out == ""
+    assert "error: line 1: rule pad: lhs is a bare pattern variable" in err
 
 
 # sha256 of the `prove --deterministic` CSV for the first 10 rows of each

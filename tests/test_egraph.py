@@ -161,17 +161,26 @@ def _state(g):
 
 def _run_constant_script(g, rng):
     """Seeded adds and unions over var and int leaves, rebuilt at random
-    points; returns the text of the first ConstantContradiction, if any."""
+    points; returns the text of the first ConstantContradiction, if any.
+    Adds after a union, before the rebuild, pass children as they are,
+    which need not be roots, and may find a literal a fold already added."""
     ids = [g.add(leaf("var", name)) for name in rng.sample(VAR_NAMES, 3)]
     ids += [g.add(leaf("int", v)) for v in rng.sample([-2, -1, 0, 1, 2, 3], 3)]
     states = []
+
+    def add_random(canonical):
+        op = rng.choice(("+", "-", "*", "min", "max", "/", "%", "neg"))
+        kids = (rng.choice(ids),) if op == "neg" else (rng.choice(ids), rng.choice(ids))
+        ids.append(g.add(ENode(op, None, tuple(map(g.find, kids)) if canonical else kids)))
+
     try:
         for _ in range(rng.randrange(10, 30)):
-            op = rng.choice(("+", "-", "*", "min", "max", "/", "%", "neg"))
-            kids = (rng.choice(ids),) if op == "neg" else (rng.choice(ids), rng.choice(ids))
-            ids.append(g.add(ENode(op, None, tuple(map(g.find, kids)))))
+            add_random(True)
         for _ in range(rng.randrange(2, 12)):
             g.union(rng.choice(ids), rng.choice(ids))
+            if rng.random() < 0.3:
+                add_random(False)
+                ids.append(g.add(leaf("int", rng.choice([-4, 0, 2, 6, 9]))))
             if rng.random() < 0.4:
                 g.rebuild()
                 states.append(_state(g))
@@ -187,7 +196,7 @@ def test_incremental_repair_agrees_with_full_repair_oracle():
     # unsound unions and folds raise; every rebuild leaves the same graph,
     # union-find and hashcons as the full repair, and every error the same text
     errors = {"union": 0, "folding": 0}
-    folded = 0
+    folded = literal_leaves = bare_repairs = 0
     for seed in range(300):
         new, old = EGraph(), OracleEGraph()
         got = _run_constant_script(new, random.Random(seed))
@@ -197,5 +206,10 @@ def test_incremental_repair_agrees_with_full_repair_oracle():
         if error is not None:
             errors["union" if "union of classes" in error else "folding"] += 1
         folded += sum(data is not None for *_, data in states[-1][3]) if states else 0
+        literal_leaves += old.literal_leaves
+        bare_repairs += old.bare_repairs
     assert errors["union"] >= 50 and errors["folding"] >= 30, errors
     assert folded >= 500, folded
+    # `add` gives a fresh literal leaf its datum without a fold, and the
+    # repair of a class with no datum skips the fold
+    assert literal_leaves >= 1000 and bare_repairs >= 400, (literal_leaves, bare_repairs)

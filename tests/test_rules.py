@@ -101,7 +101,11 @@ _HEAD = "; header\n(rule ok (+ ?a 0) ?a)\n"
     (_HEAD + "(rule r (+ foo@ 0) 0)", "ParseError: line 3: bad atom 'foo@'"),
     (_HEAD + "(rule r (+ ?a 0)\n  (- x-y x-y))", "ParseError: line 4: bad atom 'x-y'"),
     (_HEAD + "(rule r (+ ?a@ 0) ?a@)", "ParseError: line 3: bad pattern variable '?a@'"),
-], ids=["cond-no-operand", "cond-two-operands", "atom-at", "atom-dash", "patvar-at"])
+    # an lhs that matches every class, of either sort
+    (_HEAD + "(rule pad ?a (+ ?a 0))", "SortError: line 3: rule pad: lhs is a bare pattern variable"),
+    (_HEAD + "(rule r ?a (&& ?a true))", "SortError: line 3: rule r: lhs is a bare pattern variable"),
+], ids=["cond-no-operand", "cond-two-operands", "atom-at", "atom-dash", "patvar-at",
+        "bare-lhs-int", "bare-lhs-bool"])
 def test_bad_rule_file_names_its_line(text, error):
     with pytest.raises((ParseError, SortError)) as exc:
         parse_rules(text)
