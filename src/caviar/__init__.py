@@ -15,7 +15,7 @@ from .expr import (
 )
 from .extraction import AST_DEPTH, AST_SIZE, extract_best
 from .harness import emit_report, run_dataset, summarize
-from .matching import Rule, apply_rule, ematch
+from .matching import Rule, apply_rule
 from .rules import (
     NPPattern, Ruleset, default_nppd_patterns, default_ruleset,
     load_nppd, load_rules, parse_nppd, parse_rules,
@@ -29,8 +29,8 @@ __all__ = [
     "ParseError", "PatVar", "ProveResult", "Rule", "RunReport", "Ruleset",
     "SimplifyResult", "SortError", "StopReason", "Unary", "UnboundVariable",
     "Var", "apply_rule", "default_nppd_patterns", "default_ruleset",
-    "ematch", "emit_report", "evaluate", "extract_best", "from_expr",
-    "load_nppd", "load_rules", "parse_infix", "parse_nppd", "parse_rules",
-    "parse_sexpr", "print_infix", "print_sexpr", "prove", "prove_pulsed",
-    "run_dataset", "simplify", "summarize",
+    "emit_report", "evaluate", "extract_best", "from_expr", "load_nppd",
+    "load_rules", "parse_infix", "parse_nppd", "parse_rules", "parse_sexpr",
+    "print_infix", "print_sexpr", "prove", "prove_pulsed", "run_dataset",
+    "simplify", "summarize",
 ]

@@ -83,6 +83,7 @@ class EGraph:
     # -- construction ------------------------------------------------------
 
     def add(self, n: ENode) -> EClassId:
+        """The root of the class holding `n`, added if it is new."""
         # the rhs builder and `add_expr` pass canonical children, so try the
         # node as given first; a stale key found here still names a
         # congruent class, so the answer is right for any caller
@@ -112,15 +113,16 @@ class EGraph:
             if None not in data:
                 cls.data = analysis.make(op, payload, tuple(data))
                 if cls.data is not None:
-                    self._materialize_const(cid)
+                    cid = self._materialize_const(cid)
         elif op == LEAF_INT or op == LEAF_BOOL:
             # a literal is its own datum and its own literal e-node
             cls.data = payload
         self.version += 1
         return cid
 
-    def _materialize_const(self, cid: EClassId) -> None:
-        """Add the literal e-node for a class's constant datum (analysis modify)."""
+    def _materialize_const(self, cid: EClassId) -> EClassId:
+        """Add the literal e-node for a class's constant datum (analysis
+        modify); returns the class that holds `cid` afterwards."""
         v = self.classes[cid].data
         ln = leaf(LEAF_BOOL if isinstance(v, bool) else LEAF_INT, v)
         other = self.hashcons.get(ln)
@@ -129,7 +131,8 @@ class EGraph:
             self.classes[cid].nodes.append(ln)
             self.version += 1
         elif self.find(other) != cid:
-            self.union(other, cid)
+            return self.union(other, cid)
+        return cid
 
     def union(self, a: EClassId, b: EClassId) -> EClassId:
         uf = self._uf

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 from .egraph import EClassId, EGraph, from_expr
 from .expr import BOOL, BoolConst, Expr, SortError, sort_of
 from .extraction import AST_SIZE, extract_best, extract_graph
-from .matching import apply_matches, eval_condition, gather_matches
+from .matching import _no_tick, apply_matches, gather_matches
 from .rules import NPPattern
 
 PROVED = "proved"
@@ -122,9 +122,8 @@ def nppd_check(g: EGraph, root: EClassId, patterns: list[NPPattern]) -> str | No
     """Id of the first non-provable pattern matching the root class with its
     condition satisfied."""
     for p in patterns:
-        for subst in p.matcher.match_class(g, root):
-            if eval_condition(p.cond, g, subst):
-                return p.id
+        if p.gather(g, _no_tick, (g.find(root),)):
+            return p.id
     return None
 
 

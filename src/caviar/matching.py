@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import count
-from typing import Iterator, Union
+from typing import Union
 
 from .egraph import EClassId, EGraph, ENode, enode, leaf
 # patterns are terms with holes, so `PatVar` and `Pattern` are the term
@@ -174,11 +174,6 @@ class Rule:
         return (Rule, (self.name, self.lhs, self.rhs, self.cond))
 
     @cached_property
-    def matcher(self) -> Matcher:
-        """The lhs compiled for e-matching, built on first use."""
-        return Matcher(self.lhs)
-
-    @cached_property
     def shape(self) -> frozenset:
         """The lhs's operator symbols and its `(op, child index, child op)`
         triples between operator nodes. A match maps each onto a stored
@@ -202,8 +197,9 @@ class Rule:
     # the compiled forms, each built on first use
     @cached_property
     def gather(self):
-        """`gather(g, tick)`: `gather_matches` of this rule."""
-        return _define(*_search_source(self.lhs, gather=True, cond=self.cond))
+        """`gather(g, tick, cands=None)`: `gather_matches` of this rule,
+        over the classes `cands` if given."""
+        return _define(*_search_source(self.lhs, self.cond))
 
     @cached_property
     def apply(self):
@@ -348,48 +344,38 @@ def _emit_steps(steps, vals, lines, depth, subs, defined) -> int:
     return depth
 
 
-def _search_source(p: Pattern, gather: bool, cond: Condition | None = None):
-    """A search for `p`: the name, source and constants of its function.
-    The generator form `search(g, cands=None)` yields the `(class,
-    substitution)` pairs over the classes `cands`, by default every class
-    that `p` can match. The gather form `gather(g, tick)` returns the list
-    of those whose substitution satisfies `cond`, and calls `tick` every 256
-    matches and every 256 classes after the first. Both deduplicate per
-    class and keep a deterministic order."""
+def _search_source(p: Pattern, cond: Condition | None = None):
+    """A search for `p`: the name, source and constants of `gather(g, tick,
+    cands=None)`, which returns the `(class, substitution)` pairs over the
+    classes `cands`, by default every class that `p` can match, whose
+    substitution satisfies `cond`, in a deterministic order. It calls `tick`
+    every 256 matches and every 256 classes after the first. Nothing
+    deduplicates, and no pair repeats: in a rebuilt graph each stored
+    e-node is held by one class, so a substitution fixes every e-node that a
+    match walks."""
     consts = _Consts()
     keys = [consts.name(n) for n in pattern_vars(p)]
     steps, vals, leaves = _plan(p, consts)
     subst = "{" + ", ".join(f"{k}: {v}" for k, v in zip(keys, vals)) + "}"
     cands = (f"g.classes_by_op().get({steps[0][3]}, ())" if isinstance(p, (Unary, Binary))
              else "sorted(g.classes)")
-    name = "gather" if gather else "search"
-    lines = (["def gather(g, tick):", "    classes, seen, out, i = g.classes, set(), [], 0"]
-             if gather else ["def search(g, cands=None):", "    classes, seen = g.classes, set()"])
+    lines = ["def gather(g, tick, cands=None):", "    classes, out, i = g.classes, [], 0"]
     for i, node in enumerate(leaves):
         lines += [f"    l{i} = g.hashcons.get({consts.name(node)})",
-                  f"    if l{i} is None: return{' out' * gather}",
+                  f"    if l{i} is None: return out",
                   f"    l{i} = g.find(l{i})"]
-    if gather:
-        lines += [f"    for j, cid in enumerate({cands}):",
-                  "        if j and not j & 255: tick()"]
-    else:
-        lines.append(f"    for cid in {cands} if cands is None else cands:")
+    lines += [f"    for j, cid in enumerate({cands} if cands is None else cands):",
+              "        if j and not j & 255: tick()"]
     subs: list[list[str]] = []
     pad = "    " * _emit_steps(steps, vals, lines, 2, subs,
                                ["cid"] + [f"l{i}" for i in range(len(leaves))])
-    lines += [f"{pad}m = {_tuple(['cid'] + vals)}",
-              f"{pad}if m in seen: continue",
-              f"{pad}seen.add(m)"]
-    if not gather:
-        lines.append(f"{pad}yield cid, {subst}")
-    else:
-        test = "" if cond is None else f"if {consts.name(eval_condition)}({consts.name(cond)}, g, s): "
-        lines += [f"{pad}if not i & 255: tick()",
-                  f"{pad}i += 1",
-                  f"{pad}s = {subst}",
-                  f"{pad}{test}out.append((cid, s))",
-                  "    return out"]
-    return name, "\n".join(sum(subs, []) + lines), consts
+    test = "" if cond is None else f"if {consts.name(eval_condition)}({consts.name(cond)}, g, s): "
+    lines += [f"{pad}if not i & 255: tick()",
+              f"{pad}i += 1",
+              f"{pad}s = {subst}",
+              f"{pad}{test}out.append((cid, s))",
+              "    return out"]
+    return "gather", "\n".join(sum(subs, []) + lines), consts
 
 
 def _apply_source(p: Pattern, build: bool):
@@ -399,9 +385,10 @@ def _apply_source(p: Pattern, build: bool):
     instance, calls `tick` every 256 matches and returns the number of
     unions that merged two classes. One statement adds each e-node, in the
     order of a left-to-right walk (a nested expression would reach Python's
-    limit on nested parentheses); its children are roots or classes that
-    `add` just returned, so `add` can look it up as given. `find` runs only
-    on an id that is not a root."""
+    limit on nested parentheses); its children are roots, since `add`
+    returns one and its fold merges away only the class it just made, so
+    `add` can look it up as given. `find` runs only on an id that is not a
+    root."""
     consts = _Consts(enode=enode)
     keys: dict[str, str] = {}
     rhs: list[str] = []
@@ -434,9 +421,6 @@ def _apply_source(p: Pattern, build: bool):
                  "        if not i & 255: tick()"]
         lines += ["        " + line for line in rhs]
         lines.append("        if uf[cid] != cid: cid = find(cid)")
-        if not isinstance(p, PatVar):
-            # a fold in a later `add` may have merged an earlier result
-            lines.append(f"        if uf[{root}] != {root}: {root} = find({root})")
         lines += [f"        if {root} != cid:",
                   f"            union(cid, {root})",
                   "            unions += 1",
@@ -461,37 +445,6 @@ def _define(name: str, source: str, consts: _Consts):
     namespace = dict(consts)
     exec(_code(source), namespace)
     return namespace[name]
-
-
-class Matcher:
-    """A pattern compiled, on first use, for e-matching. Pickles as its
-    pattern."""
-
-    def __init__(self, pattern: Pattern):
-        self.pattern = pattern
-
-    def __reduce__(self):
-        return (Matcher, (self.pattern,))
-
-    @cached_property
-    def _search(self):
-        return _define(*_search_source(self.pattern, gather=False))
-
-    def match_class(self, g: EGraph, cid: EClassId) -> Iterator[Substitution]:
-        """Yields the matches against one e-class, deduplicated, in
-        deterministic order; lazily, so that a caller can stop a class with
-        millions of matches."""
-        return (subst for _, subst in self._search(g, (g.find(cid),)))
-
-    def search(self, g: EGraph) -> Iterator[tuple[EClassId, Substitution]]:
-        """Yields every (class, substitution) pair where the pattern matches,
-        deduplicated per class, in deterministic order."""
-        return self._search(g)
-
-
-def ematch(g: EGraph, p: Pattern):
-    """`Matcher(p).search(g)`; rules and non-provable patterns keep theirs."""
-    return Matcher(p).search(g)
 
 
 def _no_tick():

@@ -26,8 +26,8 @@ from .expr import (
 )
 from .matching import (
     CondAnd, CondIsConst, CondIsVar, CondNonConst, CondNonZero, CondPred,
-    Condition, Matcher, Rule, check_preds, check_scope, condition_vars,
-    pattern_vars,
+    Condition, Rule, _define, _search_source, check_preds, check_scope,
+    condition_vars, pattern_vars,
 )
 
 # ---------------------------------------------------------------------------
@@ -126,10 +126,16 @@ class NPPattern:
     pattern: Pattern
     cond: Condition
 
+    def __reduce__(self):
+        # pickles without the compiled search, which holds generated code
+        return (NPPattern, (self.id, self.pattern, self.cond))
+
     @cached_property
-    def matcher(self) -> Matcher:
-        """The pattern compiled for e-matching, built on first use."""
-        return Matcher(self.pattern)
+    def gather(self):
+        """`gather(g, tick, cands=None)`: the matches of the pattern whose
+        substitution satisfies the condition, as `Rule.gather`; built on
+        first use."""
+        return _define(*_search_source(self.pattern, self.cond))
 
     def validate(self):
         where = f"nppd {self.id}"

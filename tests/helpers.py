@@ -11,7 +11,7 @@ from caviar.expr import (
     ARITH_OPS, CMP_OPS, LOGIC_OPS,
     Binary, BoolConst, Expr, IntConst, Unary, Var, evaluate, free_vars,
 )
-from caviar.matching import PatVar, apply_matches, gather_matches
+from caviar.matching import PatVar, Rule, apply_matches, gather_matches
 
 VALUE_POOL = [-100, -17, -10, -8, -7, -5, -4, -3, -2, -1, 0,
               1, 2, 3, 4, 5, 7, 8, 10, 17, 100, 1 << 40, -(1 << 40)]
@@ -187,7 +187,7 @@ class OracleEGraph(EGraph):
             self.literal_leaves += not n.children
             self._materialize_const(cid)
         self.version += 1
-        return cid
+        return self.find(cid)
 
     def union(self, a, b):
         fa, fb = self.find(a), self.find(b)
@@ -315,6 +315,12 @@ def oracle_ematch(g: EGraph, p) -> list[tuple[int, dict]]:
     candidates = sorted({g.find(cid) for cid in g.classes
                          if op is None or any(n.op == op for n in oracle_nodes(g, cid))})
     return [(cid, s) for cid in candidates for s in oracle_ematch_class(g, p, cid)]
+
+
+def ematch(g: EGraph, p, cands=None) -> list[tuple[int, dict]]:
+    """The compiled search of a condition-less pattern over the classes
+    `cands`, by default every class it can match."""
+    return Rule("ematch", p, p).gather(g, lambda: None, cands)
 
 
 def oracle_instantiate(g: EGraph, p, subst: dict) -> int:

@@ -163,15 +163,21 @@ def _run_constant_script(g, rng):
     """Seeded adds and unions over var and int leaves, rebuilt at random
     points; returns the text of the first ConstantContradiction, if any.
     Adds after a union, before the rebuild, pass children as they are,
-    which need not be roots, and may find a literal a fold already added."""
-    ids = [g.add(leaf("var", name)) for name in rng.sample(VAR_NAMES, 3)]
-    ids += [g.add(leaf("int", v)) for v in rng.sample([-2, -1, 0, 1, 2, 3], 3)]
+    which need not be roots, and may find a literal a fold already added.
+    Every `add` returns a root, also when its fold merged the new class."""
+    def add(n):
+        cid = g.add(n)
+        assert g._uf[cid] == cid, (n, cid)
+        return cid
+
+    ids = [add(leaf("var", name)) for name in rng.sample(VAR_NAMES, 3)]
+    ids += [add(leaf("int", v)) for v in rng.sample([-2, -1, 0, 1, 2, 3], 3)]
     states = []
 
     def add_random(canonical):
         op = rng.choice(("+", "-", "*", "min", "max", "/", "%", "neg"))
         kids = (rng.choice(ids),) if op == "neg" else (rng.choice(ids), rng.choice(ids))
-        ids.append(g.add(ENode(op, None, tuple(map(g.find, kids)) if canonical else kids)))
+        ids.append(add(ENode(op, None, tuple(map(g.find, kids)) if canonical else kids)))
 
     try:
         for _ in range(rng.randrange(10, 30)):
@@ -180,7 +186,7 @@ def _run_constant_script(g, rng):
             g.union(rng.choice(ids), rng.choice(ids))
             if rng.random() < 0.3:
                 add_random(False)
-                ids.append(g.add(leaf("int", rng.choice([-4, 0, 2, 6, 9]))))
+                ids.append(add(leaf("int", rng.choice([-4, 0, 2, 6, 9]))))
             if rng.random() < 0.4:
                 g.rebuild()
                 states.append(_state(g))

@@ -13,15 +13,15 @@ import pytest
 from caviar.egraph import EGraph, ENode, from_expr, leaf
 from caviar.expr import SortError, parse_infix, parse_sexpr
 from caviar.matching import (
-    CondIsConst, CondNonConst, CondNonZero, CondPred, Matcher, PatVar, Rule,
-    _apply_source, _search_source, apply_matches, apply_rule, ematch,
-    eval_condition, gather_matches, pattern_vars,
+    CondIsConst, CondNonConst, CondNonZero, CondPred, PatVar, Rule,
+    _apply_source, _search_source, apply_matches, apply_rule, eval_condition,
+    gather_matches, pattern_vars,
 )
-from caviar.rules import default_nppd_patterns, default_ruleset, parse_rules
+from caviar.rules import default_nppd_patterns, default_ruleset, parse_nppd, parse_rules
 
 from .helpers import (
-    assert_canonical_storage, oracle_apply, oracle_ematch, random_bool_expr,
-    saturate,
+    assert_canonical_storage, ematch, oracle_apply, oracle_ematch,
+    random_bool_expr, saturate,
 )
 
 
@@ -39,7 +39,7 @@ def test_pattern_vars_order():
 
 def test_ematch_simple():
     g, root = from_expr(parse_infix("(a + b) * c"))
-    matches = list(ematch(g, pat("(* ?x ?y)")))
+    matches = ematch(g, pat("(* ?x ?y)"))
     assert len(matches) == 1
     cid, subst = matches[0]
     assert cid == root
@@ -49,20 +49,20 @@ def test_ematch_simple():
 
 def test_ematch_nonlinear():
     g1, _ = from_expr(parse_infix("a + a"))
-    assert len(list(ematch(g1, pat("(+ ?x ?x)")))) == 1
+    assert len(ematch(g1, pat("(+ ?x ?x)"))) == 1
     g2, _ = from_expr(parse_infix("a + b"))
-    assert len(list(ematch(g2, pat("(+ ?x ?x)")))) == 0
+    assert len(ematch(g2, pat("(+ ?x ?x)"))) == 0
     # nonlinear across classes made equal by a union
     g3, _ = from_expr(parse_infix("a + b"))
     g3.union(g3.add(leaf("var", "a")), g3.add(leaf("var", "b")))
     g3.rebuild()
-    assert len(list(ematch(g3, pat("(+ ?x ?x)")))) == 1
+    assert len(ematch(g3, pat("(+ ?x ?x)"))) == 1
 
 
 def test_ematch_ground_literal():
     g, root = from_expr(parse_infix("x + 1"))
-    assert len(list(ematch(g, pat("(+ ?a 1)")))) == 1
-    assert len(list(ematch(g, pat("(+ ?a 2)")))) == 0
+    assert len(ematch(g, pat("(+ ?a 1)"))) == 1
+    assert len(ematch(g, pat("(+ ?a 2)"))) == 0
 
 
 def test_leaf_pattern_matches_a_merged_leaf_class():
@@ -74,21 +74,20 @@ def test_leaf_pattern_matches_a_merged_leaf_class():
     g.union(ab, g.add(leaf("var", "w")))
     g.union(ab, g.add(leaf("int", 7)))
     g.rebuild()
-    assert list(ematch(g, pat("(* w ?y)"))) == [(root, {"y": c})]
-    assert list(ematch(g, pat("(* 7 ?y)"))) == [(root, {"y": c})]
-    assert list(ematch(g, pat("(* ?y 7)"))) == []
+    assert ematch(g, pat("(* w ?y)")) == [(root, {"y": c})]
+    assert ematch(g, pat("(* 7 ?y)")) == [(root, {"y": c})]
+    assert ematch(g, pat("(* ?y 7)")) == []
 
 
 def test_ematch_matches_folded_constants():
     # 2 + 3 folds to 5; a literal-5 pattern must match the sum's class
     g, root = from_expr(parse_infix("(2 + 3) % x"))
-    assert len(list(ematch(g, pat("(% 5 ?x)")))) == 1
+    assert len(ematch(g, pat("(% 5 ?x)"))) == 1
 
 
 def test_ematch_class_dedup():
     g, root = from_expr(parse_infix("a + b"))
-    subs = list(Matcher(pat("?x")).match_class(g, root))
-    assert len(subs) == 1
+    assert ematch(g, pat("?x"), (root,)) == [(root, {"x": root})]
 
 
 def test_conditions():
@@ -136,7 +135,7 @@ def test_conditional_rule_respects_condition():
 def test_instantiate_reuses_classes():
     g, root = from_expr(parse_infix("a + b"))
     n_before = len(g.classes)
-    subst = dict(list(ematch(g, pat("(+ ?x ?y)")))[0][1])
+    subst = ematch(g, pat("(+ ?x ?y)"))[0][1]
     cid = rule("(rule flip (+ ?x ?y) (+ ?y ?x))").build(g, subst)
     assert len(g.classes) == n_before + 1  # only the flipped sum is new
     assert cid != g.find(root)
@@ -205,9 +204,9 @@ def test_tick_can_stop_a_class_with_many_matches():
     assert len(pulled) == 257
 
 
-def oracle_gather(g, r):
-    return [(cid, s) for cid, s in oracle_ematch(g, r.lhs)
-            if r.cond is None or eval_condition(r.cond, g, s)]
+def oracle_gather(g, p, cond, cands=None):
+    return [(cid, s) for cid, s in oracle_ematch(g, p)
+            if (cands is None or cid in cands) and (cond is None or eval_condition(cond, g, s))]
 
 
 def assert_applies_as_oracle(g, rules, matches):
@@ -222,32 +221,41 @@ def assert_applies_as_oracle(g, rules, matches):
 
 
 def test_compiled_matcher_agrees_with_interpretive_oracle():
-    # every default rule lhs and NPPD pattern, and ground variables, on
-    # graphs saturated for a few iterations so that classes hold many
-    # merged, re-canonicalized e-nodes; both search forms, and the rhs
+    # every default rule lhs and NPPD pattern, ground variables and a bare
+    # variable, on graphs saturated for a few iterations so that classes
+    # hold many merged, re-canonicalized e-nodes; the search without and
+    # with its condition, an NPPD pattern's over every class and at the
+    # root, and the rhs
     rules = default_ruleset().rules
+    nppd = default_nppd_patterns() + parse_nppd("(nppd bare ?x :if (nonconst ?x))")
     extra = [pat(src) for src in ("(+ x ?a)", "(< ?a (+ y ?a))", "(max ?a x)")]
-    compiled = ([(r.matcher, r.lhs) for r in rules]
-                + [(p.matcher, p.pattern) for p in default_nppd_patterns()]
-                + [(Matcher(p), p) for p in extra])
-    matched, hit, kept = 0, set(), 0
+    patterns = [r.lhs for r in rules] + [p.pattern for p in nppd] + extra
+    matched, hit, kept, nppd_kept, rooted = 0, set(), 0, 0, set()
     for seed in range(16):
-        g, _ = from_expr(random_bool_expr(random.Random(seed), 4))
+        g, root = from_expr(random_bool_expr(random.Random(seed), 4))
         for _ in range(3):
             assert_canonical_storage(g)
-            for i, (matcher, p) in enumerate(compiled):
-                got = list(matcher.search(g))
+            for i, p in enumerate(patterns):
+                got = ematch(g, p)
                 assert got == oracle_ematch(g, p), (seed, p)
                 matched += len(got)
                 if got:
                     hit.add(i)
+            for p in nppd:
+                for cands in (None, (g.find(root),)):
+                    got = p.gather(g, lambda: None, cands)
+                    assert got == oracle_gather(g, p.pattern, p.cond, cands), (seed, p.id)
+                    nppd_kept += len(got)
+                    if cands and got:
+                        rooted.add(p.id)
             gathered = [gather_matches(g, r) for r in rules]
             for r, ms in zip(rules, gathered):
-                assert ms == oracle_gather(g, r), (seed, r.name)
+                assert ms == oracle_gather(g, r.lhs, r.cond), (seed, r.name)
                 kept += len(ms)
             assert_applies_as_oracle(g, rules, gathered)
     # the comparison is only as strong as the matches it saw
     assert matched > 2000 and len(hit) > 90 and kept > 1500
+    assert nppd_kept > 500 and len(rooted) > 1, (nppd_kept, rooted)
 
 
 ODD_NAMES = """
@@ -265,23 +273,24 @@ def test_odd_names_compile_match_and_apply():
     g, _ = from_expr(parse_infix("None + a * b + (c + 3 * None)"))
     for _ in range(3):
         for r in rules:
-            assert list(r.matcher.search(g)) == oracle_ematch(g, r.lhs), r.name
+            assert ematch(g, r.lhs) == oracle_ematch(g, r.lhs), r.name
         gathered = [gather_matches(g, r) for r in rules]
-        assert [ms == oracle_gather(g, r) for r, ms in zip(rules, gathered)] == [True] * 3
+        assert [ms == oracle_gather(g, r.lhs, r.cond)
+                for r, ms in zip(rules, gathered)] == [True] * 3
         assert_applies_as_oracle(g, rules, gathered)
     assert all(gather_matches(g, r) for r in rules)
 
 
 def generated_sources(r):
-    return [_search_source(r.lhs, True, r.cond)[1], _search_source(r.lhs, False)[1],
-            _apply_source(r.rhs, False)[1], _apply_source(r.rhs, True)[1]]
+    return [_search_source(r.lhs, r.cond)[1], _apply_source(r.rhs, False)[1],
+            _apply_source(r.rhs, True)[1]]
 
 
 def test_generated_source_holds_only_made_up_names():
     # no variable name, leaf name, operator symbol or literal of a rule
     # reaches the generated source: it is made of keywords, a few builtins,
     # the emitter's own names and small integers
-    allowed = set(keyword.kwlist) | {"set", "enumerate", "sorted"}
+    allowed = set(keyword.kwlist) | {"enumerate", "sorted"}
     odd = parse_rules(ODD_NAMES + "(rule zqrule (+ zqleaf (* ?zqvar 9137)) "
                       "(- ?zqvar (* 9137 zqleaf)) :if (pred (< 8191 ?zqvar)))").rules
     for r in default_ruleset().rules + odd:
@@ -313,7 +322,7 @@ def test_large_patterns_compile():
     for i in range(1, n + 1):
         src = f"({src} + v{i % 7})"
     g, root = from_expr(parse_infix(src))
-    got = list(r.matcher.search(g))
+    got = ematch(g, r.lhs)
     assert got == oracle_ematch(g, r.lhs) and [cid for cid, _ in got] == [root]
     ms = gather_matches(g, r)
     assert ms == got
@@ -352,7 +361,7 @@ def test_rule_shape_filter_is_sound():
             shape = g.shape()
             for r in rules:
                 if not r.shape <= shape:
-                    assert list(r.matcher.search(g)) == [], (seed, r.name)
+                    assert ematch(g, r.lhs) == [], (seed, r.name)
                     skipped += 1
             saturate(g, rules, 1)
     assert skipped > 1000
@@ -367,3 +376,11 @@ def test_rule_pickles_after_compiling():
     assert r2 == r and "build" not in vars(r2)
     g2, _ = from_expr(parse_infix("a + b"))
     assert apply_rule(g2, r2) == 1 and g2.dump() == g.dump()
+    # so does a non-provable pattern, which a pool worker gets in its
+    # initargs after the parent has searched with it
+    p = parse_nppd("(nppd ne (!= ?x ?c) :if (and (const ?c) (nonconst ?x)))")[0]
+    g, root = from_expr(parse_infix("a != 1"))
+    assert p.gather(g, lambda: None, (root,))
+    p2 = pickle.loads(pickle.dumps(p))
+    assert p2 == p and "gather" not in vars(p2)
+    assert p2.gather(g, lambda: None, (root,)) == p.gather(g, lambda: None, (root,))
