@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import analysis
 from .analysis import ConstantContradiction, LEAF_BOOL, LEAF_INT, LEAF_VAR
-from .expr import Binary, BoolConst, Expr, IntConst, Unary, Var
+from .expr import Binary, BoolConst, Expr, IntConst, Unary, Var, print_sexpr
 
 EClassId = int
 
@@ -34,8 +34,28 @@ class ENode(NamedTuple):
 enode = partial(tuple.__new__, ENode)
 
 
-def leaf(op: str, payload) -> ENode:
-    return enode((op, payload, ()))
+# The one mapping between leaf terms and leaf e-nodes: a variable is a
+# `var` e-node holding its name, a constant an `int` or `bool` e-node
+# holding its value.
+
+def literal(value) -> ENode:
+    """The leaf e-node of an int or bool constant."""
+    return enode((LEAF_BOOL if isinstance(value, bool) else LEAF_INT, value, ()))
+
+
+def leaf_of(term: Var | IntConst | BoolConst) -> ENode:
+    """The leaf e-node of a leaf term."""
+    if isinstance(term, Var):
+        return enode((LEAF_VAR, term.name, ()))
+    return literal(term.value)
+
+
+_LEAF_TERMS = {LEAF_VAR: Var, LEAF_INT: IntConst, LEAF_BOOL: BoolConst}
+
+
+def leaf_term(n: ENode) -> Var | IntConst | BoolConst:
+    """The leaf term of a leaf e-node; the inverse of `leaf_of`."""
+    return _LEAF_TERMS[n.op](n.payload)
 
 
 class EClass:
@@ -123,8 +143,7 @@ class EGraph:
     def _materialize_const(self, cid: EClassId) -> EClassId:
         """Add the literal e-node for a class's constant datum (analysis
         modify); returns the class that holds `cid` afterwards."""
-        v = self.classes[cid].data
-        ln = leaf(LEAF_BOOL if isinstance(v, bool) else LEAF_INT, v)
+        ln = literal(self.classes[cid].data)
         other = self.hashcons.get(ln)
         if other is None:
             self.hashcons[ln] = cid
@@ -254,20 +273,19 @@ class EGraph:
         return self.classes[self.find(cid)].data
 
     def has_literal(self, cid: EClassId, value) -> bool:
-        ln = leaf(LEAF_BOOL if isinstance(value, bool) else LEAF_INT, value)
-        home = self.hashcons.get(ln)
+        home = self.hashcons.get(literal(value))
         return home is not None and self.find(home) == self.find(cid)
 
+    def has_var(self, cid: EClassId) -> bool:
+        """Whether the class stores a variable leaf; valid after rebuild."""
+        return any(n.op == LEAF_VAR for n in self.classes[self.find(cid)].nodes)
+
     def add_expr(self, e: Expr) -> EClassId:
-        if isinstance(e, Var):
-            return self.add(leaf(LEAF_VAR, e.name))
-        if isinstance(e, IntConst):
-            return self.add(leaf(LEAF_INT, e.value))
-        if isinstance(e, BoolConst):
-            return self.add(leaf(LEAF_BOOL, e.value))
+        if isinstance(e, Binary):
+            return self.add(enode((e.op, None, (self.add_expr(e.left), self.add_expr(e.right)))))
         if isinstance(e, Unary):
             return self.add(enode((e.op, None, (self.add_expr(e.child),))))
-        return self.add(enode((e.op, None, (self.add_expr(e.left), self.add_expr(e.right)))))
+        return self.add(leaf_of(e))
 
     def dump(self) -> str:
         """Deterministic textual dump for golden tests."""
@@ -277,12 +295,8 @@ class EGraph:
             for n in sorted(self.classes[cid].nodes, key=repr):
                 if n.children:
                     parts.append("(" + " ".join([n.op] + [f"c{c}" for c in n.children]) + ")")
-                elif n.op == LEAF_VAR:
-                    parts.append(str(n.payload))
-                elif n.op == LEAF_BOOL:
-                    parts.append("true" if n.payload else "false")
                 else:
-                    parts.append(str(n.payload))
+                    parts.append(print_sexpr(leaf_term(n)))
             data = self.classes[cid].data
             suffix = "" if data is None else f"  [= {data!r}]"
             lines.append(f"c{cid}: " + ", ".join(parts) + suffix)

@@ -7,18 +7,45 @@ the divisor's sign), and x/0 = x%0 = 0 so evaluation is total.
 
 from __future__ import annotations
 
+import operator
 import re
+import sys
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 INT = "int"
 BOOL = "bool"
 
-# Binary operators, grouped by signature.
-ARITH_OPS = ("+", "-", "*", "/", "%", "min", "max")  # int x int -> int
-CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")         # int x int -> bool
-LOGIC_OPS = ("&&", "||")                             # bool x bool -> bool
-UNARY_OPS = ("neg", "!")
+
+class Operator(NamedTuple):
+    arity: int
+    operand: str       # the sort of every operand
+    result: str
+    semantics: Callable  # total on operands of the operand sort
+
+
+# symbol -> Operator: the one definition of the operators, read by the
+# parsers, the sort check, the evaluator, constant folding and extraction.
+# The order is extraction's tie-break order among e-nodes of one cost.
+OPERATORS = {
+    "neg": Operator(1, INT, INT, operator.neg),
+    "!": Operator(1, BOOL, BOOL, operator.not_),
+    "+": Operator(2, INT, INT, operator.add),
+    "-": Operator(2, INT, INT, operator.sub),
+    "*": Operator(2, INT, INT, operator.mul),
+    "/": Operator(2, INT, INT, lambda a, b: 0 if b == 0 else a // b),
+    "%": Operator(2, INT, INT, lambda a, b: 0 if b == 0 else a % b),
+    "min": Operator(2, INT, INT, min),
+    "max": Operator(2, INT, INT, max),
+    "<": Operator(2, INT, BOOL, operator.lt),
+    "<=": Operator(2, INT, BOOL, operator.le),
+    ">": Operator(2, INT, BOOL, operator.gt),
+    ">=": Operator(2, INT, BOOL, operator.ge),
+    "==": Operator(2, INT, BOOL, operator.eq),
+    "!=": Operator(2, INT, BOOL, operator.ne),
+    "&&": Operator(2, BOOL, BOOL, lambda a, b: a and b),
+    "||": Operator(2, BOOL, BOOL, lambda a, b: a or b),
+}
 
 
 class ExprError(Exception):
@@ -83,21 +110,12 @@ Pattern = Union[Expr, PatVar]  # a term with holes
 
 Assignment = dict  # variable name -> int or bool
 
-# operator -> (operand sort, result sort): the one definition of the
-# operators' sorts, read by the parsers, `sort_of` and `root_sort`
-SIGNATURES = {
-    **{op: (INT, INT) for op in ARITH_OPS},
-    **{op: (INT, BOOL) for op in CMP_OPS},
-    **{op: (BOOL, BOOL) for op in LOGIC_OPS},
-    "neg": (INT, INT), "!": (BOOL, BOOL),
-}
-
-
 def _signature(op: str) -> tuple[str, str]:
     try:
-        return SIGNATURES[op]
+        o = OPERATORS[op]
     except KeyError:
         raise SortError(f"unknown operator {op!r}") from None
+    return o.operand, o.result
 
 
 def sort_of(e: Pattern, pat_sorts: dict[str, str] | None = None,
@@ -139,7 +157,7 @@ def root_sort(e: Pattern) -> str | None:
     """Sort of a term's root node alone, its operands unchecked; None for a
     pattern variable, whose sort its context decides."""
     if isinstance(e, (Unary, Binary)):
-        return SIGNATURES[e.op][1]
+        return OPERATORS[e.op].result
     if isinstance(e, BoolConst):
         return BOOL
     return None if isinstance(e, PatVar) else INT
@@ -147,41 +165,11 @@ def root_sort(e: Pattern) -> str | None:
 
 def apply_op(op: str, *args):
     """Total operator semantics shared by the evaluator and constant folding."""
-    if op == "+":
-        return args[0] + args[1]
-    if op == "-":
-        return args[0] - args[1]
-    if op == "*":
-        return args[0] * args[1]
-    if op == "/":
-        return 0 if args[1] == 0 else args[0] // args[1]
-    if op == "%":
-        return 0 if args[1] == 0 else args[0] % args[1]
-    if op == "min":
-        return min(args)
-    if op == "max":
-        return max(args)
-    if op == "<":
-        return args[0] < args[1]
-    if op == "<=":
-        return args[0] <= args[1]
-    if op == ">":
-        return args[0] > args[1]
-    if op == ">=":
-        return args[0] >= args[1]
-    if op == "==":
-        return args[0] == args[1]
-    if op == "!=":
-        return args[0] != args[1]
-    if op == "&&":
-        return args[0] and args[1]
-    if op == "||":
-        return args[0] or args[1]
-    if op == "neg":
-        return -args[0]
-    if op == "!":
-        return not args[0]
-    raise ValueError(f"unknown operator {op!r}")
+    try:
+        semantics = OPERATORS[op].semantics
+    except KeyError:
+        raise ValueError(f"unknown operator {op!r}") from None
+    return semantics(*args)
 
 
 def evaluate(e: Pattern, a: Assignment):
@@ -246,6 +234,17 @@ def _ident_end(text: str, i: int) -> int:
     while i < n and (text[i].isalnum() or text[i] == "_"):
         i += 1
     return i
+
+
+def _int_literal(text: str, off: int) -> int:
+    """The integer literal `text` at offset `off`. Both grammars read
+    literals with this, so that one past the interpreter's int/str digit
+    limit is a ParseError at its offset."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer literal longer than "
+                         f"{sys.get_int_max_str_digits()} digits", off) from None
 
 
 def _tokenize_infix(text: str) -> list[tuple[str, str, int]]:
@@ -320,7 +319,7 @@ class _InfixParser:
                     or (prec == _CMP_PREC and 0 < last <= _CMP_PREC)):
                 return e
             self.pos += 1
-            want = SIGNATURES[op][0]
+            want = OPERATORS[op].operand
             self._check(e, want, off)
             roff = toks[self.pos][2]
             e = Binary(op, e, self._check(self.parse_binary(prec + 1), want, roff))
@@ -334,7 +333,7 @@ class _InfixParser:
             k, v, o = self.toks[self.pos]
             if k == "int":
                 self.pos += 1
-                return IntConst(-int(v))
+                return IntConst(-_int_literal(v, o))
             return Unary("neg", self._check(self.parse_unary(), INT, off))
         if val == "!":
             self.pos += 1
@@ -345,7 +344,7 @@ class _InfixParser:
         kind, val, off = self.toks[self.pos]
         self.pos += 1
         if kind == "int":
-            return IntConst(int(val))
+            return IntConst(_int_literal(val, off))
         if kind == "ident":
             if val == "true":
                 return BoolConst(True)
@@ -441,7 +440,7 @@ def _atom(tok: str, off: int, patvars: bool) -> Pattern:
     if tok == "false":
         return BoolConst(False)
     if tok.removeprefix("-").isdecimal():
-        return IntConst(int(tok))
+        return IntConst(_int_literal(tok, off))
     if tok in ("min", "max"):
         # the infix grammar reads these only as functions
         raise ParseError(f"{tok!r} is an operator, not a variable", off)
@@ -461,9 +460,9 @@ def build_term(node: tuple[int, object], patvars: bool = False) -> Pattern:
         raise ParseError("expected operator symbol", v[0][0] if v else off + 1)
     (hoff, head), args = v[0], [build_term(a, patvars) for a in v[1:]]
     op = "!" if head == "not" else head
-    if op not in SIGNATURES:
+    if op not in OPERATORS:
         raise ParseError(f"unknown operator {head!r}", hoff)
-    arity = 1 if op in UNARY_OPS else 2
+    arity = OPERATORS[op].arity
     if len(args) != arity:
         raise ParseError(f"operator {head!r} takes {arity} argument{'s' * (arity - 1)}, "
                          f"got {len(args)}", hoff)

@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-from .egraph import EClassId, EGraph, ENode, enode
-from .expr import Binary, BoolConst, Expr, IntConst, Unary, Var
+from .analysis import LEAF_BOOL, LEAF_INT, LEAF_VAR
+from .egraph import EClassId, EGraph, ENode, enode, leaf_term
+from .expr import OPERATORS, Binary, Expr, Unary
 
 AST_SIZE = "ast-size"
 AST_DEPTH = "ast-depth"
 
-# deterministic tie-break order across operator/leaf symbols
-_OP_ORDER = ["int", "bool", "var", "neg", "!", "+", "-", "*", "/", "%",
-             "min", "max", "<", "<=", ">", ">=", "==", "!=", "&&", "||"]
-_OP_ORDINAL = {op: i for i, op in enumerate(_OP_ORDER)}
+# deterministic tie-break order: the leaf kinds, then the operators in
+# their table's order
+_OP_ORDINAL = {op: i for i, op in enumerate((LEAF_INT, LEAF_BOOL, LEAF_VAR, *OPERATORS))}
 
 
 def _node_key(n: ENode):
@@ -84,12 +84,8 @@ def extract_best(g: EGraph, root: EClassId, cost_model: str = AST_SIZE) -> tuple
         if term is not None:
             return term
         n = pick[cid]
-        if n.op == "var":
-            term = Var(n.payload)
-        elif n.op == "int":
-            term = IntConst(n.payload)
-        elif n.op == "bool":
-            term = BoolConst(n.payload)
+        if not n.children:
+            term = leaf_term(n)
         elif len(n.children) == 1:
             term = Unary(n.op, build(n.children[0]))
         else:
@@ -142,12 +138,8 @@ def enumerate_terms(g: EGraph, cid: EClassId, depth: int) -> set:
         memo[key] = frozenset()  # cycle guard within one depth level
         out = set()
         for n in g.classes[cid].nodes:
-            if n.op == "var":
-                out.add(Var(n.payload))
-            elif n.op == "int":
-                out.add(IntConst(n.payload))
-            elif n.op == "bool":
-                out.add(BoolConst(n.payload))
+            if not n.children:
+                out.add(leaf_term(n))
             elif d > 1:
                 subsets = [go(c, d - 1) for c in n.children]
                 if len(subsets) == 1:

@@ -81,7 +81,11 @@ def prove_line(item: tuple[int, str], rules: list[Rule],
     try:
         expr = parse_infix(source)
         res = prove_pulsed(expr, rules, patterns, cfg)
-        best = print_infix(res.best_expr) if res.best_expr is not None else ""
+        try:
+            best = print_infix(res.best_expr) if res.best_expr is not None else ""
+        except ValueError as exc:
+            # a constant folded past the interpreter's int/str digit limit
+            return _error_row(rid, source, f"print_error: {exc}")
     except (ParseError, SortError) as exc:
         return _error_row(rid, source, f"parse_error: {exc}")
     except RecursionError:

@@ -7,7 +7,7 @@ from functools import cached_property, lru_cache
 from itertools import count
 from typing import Union
 
-from .egraph import EClassId, EGraph, ENode, enode, leaf
+from .egraph import EClassId, EGraph, ENode, enode, leaf_of
 # patterns are terms with holes, so `PatVar` and `Pattern` are the term
 # language's; they are imported from here too
 from .expr import (
@@ -114,23 +114,25 @@ def check_preds(where: str, cond: Condition | None, sorts: dict[str, str]) -> No
             raise SortError(f"{where}: pred is {got}-sorted, expected bool")
 
 
-def eval_condition(cond: Condition, g: EGraph, subst: Substitution) -> bool:
-    """Evaluate a condition against e-class constant data. Never mutates."""
+def _holds(cond: Condition, datum, isvar) -> bool:
+    """The one interpreter of conditions: `datum(v)` is the constant that
+    pattern variable `v` stands for, or None, and `isvar(v)` whether `v`'s
+    class stores a variable leaf."""
     if isinstance(cond, CondAnd):
-        return all(eval_condition(c, g, subst) for c in cond.items)
+        return all(_holds(c, datum, isvar) for c in cond.items)
     if isinstance(cond, CondIsConst):
-        return g.class_data(subst[cond.var]) is not None
+        return datum(cond.var) is not None
     if isinstance(cond, CondNonConst):
-        return g.class_data(subst[cond.var]) is None
+        return datum(cond.var) is None
     if isinstance(cond, CondNonZero):
-        d = g.class_data(subst[cond.var])
+        d = datum(cond.var)
         return d is not None and d != 0
     if isinstance(cond, CondIsVar):
-        return any(n.op == "var" for n in g.classes[g.find(subst[cond.var])].nodes)
+        return isvar(cond.var)
     if isinstance(cond, CondPred):
         env = {}
         for v in pattern_vars(cond.expr):
-            d = g.class_data(subst[v])
+            d = datum(v)
             if d is None:
                 return False
             env[v] = d
@@ -138,25 +140,22 @@ def eval_condition(cond: Condition, g: EGraph, subst: Substitution) -> bool:
     raise TypeError(f"not a condition: {cond!r}")
 
 
+def eval_condition(cond: Condition, g: EGraph, subst: Substitution) -> bool:
+    """Evaluate a condition against e-class constant data. Never mutates."""
+    return _holds(cond, lambda v: g.class_data(subst[v]), lambda v: g.has_var(subst[v]))
+
+
+def _never(v: str) -> bool:
+    return False
+
+
 def eval_condition_ground(cond: Condition, values: dict) -> bool:
     """Ground semantics of a condition, used by rule soundness testing.
 
     Every variable is a known constant in a ground instantiation, so
-    IsConst holds and NonConst fails.
+    IsConst holds, NonConst fails and no class holds a variable.
     """
-    if isinstance(cond, CondAnd):
-        return all(eval_condition_ground(c, values) for c in cond.items)
-    if isinstance(cond, CondIsConst):
-        return True
-    if isinstance(cond, CondNonConst):
-        return False
-    if isinstance(cond, CondNonZero):
-        return values[cond.var] != 0
-    if isinstance(cond, CondIsVar):
-        return False
-    if isinstance(cond, CondPred):
-        return bool(evaluate(cond.expr, values))
-    raise TypeError(f"not a condition: {cond!r}")
+    return _holds(cond, values.__getitem__, _never)
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +203,7 @@ class Rule:
     @cached_property
     def apply(self):
         """`apply(g, matches, tick)`: `apply_matches` of this rule."""
-        return _define(*_apply_source(self.rhs, build=False))
-
-    @cached_property
-    def build(self):
-        """`build(g, subst) -> EClassId`: adds the rhs's e-nodes under a
-        substitution."""
-        return _define(*_apply_source(self.rhs, build=True))
+        return _define(*_apply_source(self.rhs))
 
     def validate(self) -> dict[str, str]:
         """Check variable scoping and sorts; returns the variables' sorts."""
@@ -243,12 +236,6 @@ class Rule:
 _MAX_LOOPS = 16
 
 
-def _leaf_node(p: Var | IntConst | BoolConst) -> ENode:
-    if isinstance(p, Var):
-        return leaf("var", p.name)
-    return leaf("bool" if isinstance(p, BoolConst) else "int", p.value)
-
-
 class _Consts(dict):
     """The `exec` namespace of generated code: each value the code uses,
     under a name made up here."""
@@ -277,7 +264,7 @@ def _plan(p: Pattern, consts: _Consts):
             return cls, bound[p.name]
         # a leaf e-node is stored by exactly one class, the one its hashcons
         # entry finds: O(1), where scanning a class is not
-        leaves.append(_leaf_node(p))
+        leaves.append(leaf_of(p))
         return cls, f"l{len(leaves) - 1}"
 
     def ready(p) -> bool:
@@ -378,17 +365,15 @@ def _search_source(p: Pattern, cond: Condition | None = None):
     return "gather", "\n".join(sum(subs, []) + lines), consts
 
 
-def _apply_source(p: Pattern, build: bool):
-    """The rhs `p`: the name, source and constants of `build(g, s)`, which
-    returns the class of its instance under substitution `s`, or of
-    `apply(g, matches, tick)`, which unions each match's class with its
-    instance, calls `tick` every 256 matches and returns the number of
-    unions that merged two classes. One statement adds each e-node, in the
-    order of a left-to-right walk (a nested expression would reach Python's
-    limit on nested parentheses); its children are roots, since `add`
-    returns one and its fold merges away only the class it just made, so
-    `add` can look it up as given. `find` runs only on an id that is not a
-    root."""
+def _apply_source(p: Pattern):
+    """The rhs `p`: the name, source and constants of `apply(g, matches,
+    tick)`, which unions each match's class with its instance, calls `tick`
+    every 256 matches and returns the number of unions that merged two
+    classes. One statement adds each e-node, in the order of a
+    left-to-right walk (a nested expression would reach Python's limit on
+    nested parentheses); its children are roots, since `add` returns one
+    and its fold merges away only the class it just made, so `add` can look
+    it up as given. `find` runs only on an id that is not a root."""
     consts = _Consts(enode=enode)
     keys: dict[str, str] = {}
     rhs: list[str] = []
@@ -402,7 +387,7 @@ def _apply_source(p: Pattern, build: bool):
             rhs.extend([f"{t} = s[{keys[p.name]}]", f"if uf[{t}] != {t}: {t} = find({t})"])
             return t
         if isinstance(p, (Var, IntConst, BoolConst)):
-            expr = f"add({consts.name(_leaf_node(p))})"
+            expr = f"add({consts.name(leaf_of(p))})"
         else:
             kids = [go(p.child)] if isinstance(p, Unary) else [go(p.left), go(p.right)]
             expr = f"add(enode(({consts.name(p.op)}, None, ({_tuple(kids)}))))"
@@ -411,21 +396,17 @@ def _apply_source(p: Pattern, build: bool):
         return t
 
     root = go(p)
-    if build:
-        lines = ["def build(g, s):", "    find, add, uf = g.find, g.add, g._uf"]
-        lines += ["    " + line for line in rhs] + [f"    return {root}"]
-    else:
-        lines = ["def apply(g, matches, tick):",
-                 "    find, add, union, uf, unions = g.find, g.add, g.union, g._uf, 0",
-                 "    for i, (cid, s) in enumerate(matches):",
-                 "        if not i & 255: tick()"]
-        lines += ["        " + line for line in rhs]
-        lines.append("        if uf[cid] != cid: cid = find(cid)")
-        lines += [f"        if {root} != cid:",
-                  f"            union(cid, {root})",
-                  "            unions += 1",
-                  "    return unions"]
-    return ("build" if build else "apply"), "\n".join(lines), consts
+    lines = ["def apply(g, matches, tick):",
+             "    find, add, union, uf, unions = g.find, g.add, g.union, g._uf, 0",
+             "    for i, (cid, s) in enumerate(matches):",
+             "        if not i & 255: tick()"]
+    lines += ["        " + line for line in rhs]
+    lines += ["        if uf[cid] != cid: cid = find(cid)",
+              f"        if {root} != cid:",
+              f"            union(cid, {root})",
+              "            unions += 1",
+              "    return unions"]
+    return "apply", "\n".join(lines), consts
 
 
 def _tuple(items: list[str]) -> str:

@@ -5,11 +5,11 @@ from __future__ import annotations
 import random
 
 from caviar import analysis
-from caviar.egraph import EClass, EGraph, ENode, leaf
+from caviar.egraph import EClass, EGraph, ENode, enode
 from caviar.extraction import AST_DEPTH, _node_key
 from caviar.expr import (
-    ARITH_OPS, CMP_OPS, LOGIC_OPS,
-    Binary, BoolConst, Expr, IntConst, Unary, Var, evaluate, free_vars,
+    BOOL, INT, OPERATORS, Binary, BoolConst, Expr, IntConst, Unary, Var,
+    evaluate, free_vars,
 )
 from caviar.matching import PatVar, Rule, apply_matches, gather_matches
 
@@ -17,6 +17,21 @@ VALUE_POOL = [-100, -17, -10, -8, -7, -5, -4, -3, -2, -1, 0,
               1, 2, 3, 4, 5, 7, 8, 10, 17, 100, 1 << 40, -(1 << 40)]
 
 VAR_NAMES = ["x", "y", "z", "w", "v0", "v1"]
+
+
+def leaf(op: str, payload) -> ENode:
+    """A leaf e-node spelled out: `op` is "var", "int" or "bool"."""
+    return enode((op, payload, ()))
+
+
+def _binary_ops(operand: str, result: str) -> tuple[str, ...]:
+    return tuple(op for op, o in OPERATORS.items()
+                 if (o.arity, o.operand, o.result) == (2, operand, result))
+
+
+ARITH_OPS = _binary_ops(INT, INT)     # + - * / % min max
+CMP_OPS = _binary_ops(INT, BOOL)      # < <= > >= == !=
+LOGIC_OPS = _binary_ops(BOOL, BOOL)   # && ||
 
 
 def random_int_expr(rng: random.Random, depth: int, allow_consts: bool = True) -> Expr:

@@ -84,6 +84,22 @@ def test_non_decimal_digit_is_a_row_error(tmp_path, capsys):
     assert rows[1][3] == "parse_error: unexpected character '²' (at offset 4)"
 
 
+def test_constants_past_the_digit_limit_are_row_errors(tmp_path, capsys):
+    # a literal too long to read, and a product that folds to a constant
+    # too long to print, each end their own row only
+    product = " * ".join(["9999999999"] * 450)
+    p = tmp_path / "exprs.txt"
+    p.write_text(f"x <= x\n{'9' * 5000} < x\nx < x\n{product} < x\nx <= x\n",
+                 encoding="utf-8")
+    code, out, _ = run_cli(capsys, "prove", "--input", str(p), "--deterministic")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [r[2] for r in rows] == ["proved_true", "error", "proved_false", "error",
+                                    "proved_true"]
+    assert rows[1][3] == "parse_error: integer literal longer than 4300 digits (at offset 0)"
+    assert rows[3][3].startswith("print_error: Exceeds the limit (4300")
+
+
 def test_missing_input_file(capsys):
     code, _, err = run_cli(capsys, "prove", "--input", "/nonexistent/x.txt")
     assert code == 2

@@ -5,12 +5,12 @@ import random
 import pytest
 
 from caviar.analysis import ConstantContradiction
-from caviar.egraph import EGraph, ENode, from_expr, leaf
-from caviar.expr import parse_infix
+from caviar.egraph import EGraph, ENode, from_expr, leaf_of, leaf_term, literal
+from caviar.expr import BoolConst, IntConst, Var, parse_infix
 
 from .helpers import (
     VAR_NAMES, OracleEGraph, assert_canonical_storage, brute_force_congruence,
-    random_congruence_graph,
+    leaf, random_congruence_graph,
 )
 
 
@@ -219,3 +219,13 @@ def test_incremental_repair_agrees_with_full_repair_oracle():
     # `add` gives a fresh literal leaf its datum without a fold, and the
     # repair of a class with no datum skips the fold
     assert literal_leaves >= 1000 and bare_repairs >= 400, (literal_leaves, bare_repairs)
+
+
+def test_leaf_encoding_round_trips():
+    terms = [Var("x"), IntConst(-3), IntConst(0), IntConst(1), BoolConst(True),
+             BoolConst(False)]
+    for t in terms:
+        assert leaf_term(leaf_of(t)) == t
+    # 1 == True in Python, but an int and a bool literal are distinct leaves
+    assert len({leaf_of(t) for t in terms}) == len(terms)
+    assert leaf_of(IntConst(1)) == literal(1) != literal(True) == leaf_of(BoolConst(True))

@@ -1,18 +1,20 @@
 """Expression core: parsing, printing, evaluation, sorts."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caviar.expr import (
-    Binary, BoolConst, IntConst, ParseError, PatVar, SortError, Unary,
-    UnboundVariable, Var, apply_op, ast_size, evaluate, free_vars, parse_infix,
-    parse_sexpr, print_infix, print_sexpr, sort_of,
+    BOOL, INT, OPERATORS, Binary, BoolConst, IntConst, ParseError, PatVar,
+    SortError, Unary, UnboundVariable, Var, apply_op, ast_size, evaluate,
+    free_vars, parse_infix, parse_sexpr, print_infix, print_sexpr, sort_of,
 )
 
-from .helpers import random_expr
+from .helpers import VALUE_POOL, random_expr
 
 
 def test_parse_infix_precedence():
@@ -142,6 +144,65 @@ def test_apply_op_floor_division():
     assert apply_op("%", 5, 0) == 0
     assert apply_op("min", 3, -2) == -2
     assert apply_op("max", 3, -2) == 3
+
+
+# Each operator's sorts and semantics spelled out independently of the
+# table, floor division through exact fractions.
+SPELLED_OUT_SORTS = {
+    "+": (INT, INT), "-": (INT, INT), "*": (INT, INT), "/": (INT, INT),
+    "%": (INT, INT), "min": (INT, INT), "max": (INT, INT),
+    "<": (INT, BOOL), "<=": (INT, BOOL), ">": (INT, BOOL), ">=": (INT, BOOL),
+    "==": (INT, BOOL), "!=": (INT, BOOL),
+    "&&": (BOOL, BOOL), "||": (BOOL, BOOL),
+    "neg": (INT, INT), "!": (BOOL, BOOL),
+}
+REFERENCE = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: 0 if b == 0 else math.floor(Fraction(a, b)),
+    "%": lambda a, b: 0 if b == 0 else a - b * math.floor(Fraction(a, b)),
+    "min": lambda a, b: a if a <= b else b,
+    "max": lambda a, b: b if a <= b else a,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+    "==": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    "&&": lambda a, b: a and b,
+    "||": lambda a, b: a or b,
+    "neg": lambda a: -a,
+    "!": lambda a: not a,
+}
+
+
+def test_operator_table_matches_spelled_out_definitions():
+    assert {op: (o.operand, o.result) for op, o in OPERATORS.items()} == SPELLED_OUT_SORTS
+    assert [op for op, o in OPERATORS.items() if o.arity == 1] == ["neg", "!"]
+    pools = {INT: VALUE_POOL, BOOL: [False, True]}  # VALUE_POOL holds 0 and negatives
+    for op, o in OPERATORS.items():
+        pool = pools[o.operand]
+        for args in ([(a,) for a in pool] if o.arity == 1
+                     else [(a, b) for a in pool for b in pool]):
+            got, want = apply_op(op, *args), REFERENCE[op](*args)
+            assert got == want and type(got) is type(want), (op, args, got, want)
+            assert type(got) is (bool if o.result == BOOL else int), (op, args)
+    with pytest.raises(ValueError, match="unknown operator '\\*\\*'"):
+        apply_op("**", 2, 3)
+
+
+@pytest.mark.parametrize("parse,text,offset", [
+    (parse_infix, "x < " + "9" * 5000, 4),
+    (parse_infix, "x < -" + "9" * 5000, 5),
+    (parse_sexpr, "(< x " + "9" * 5000 + ")", 5),
+    (parse_sexpr, "(< x -" + "9" * 5000 + ")", 5),
+], ids=["infix", "infix-negative", "sexpr", "sexpr-negative"])
+def test_literal_past_digit_limit_is_a_parse_error(parse, text, offset):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.message, exc.value.offset) == (
+        "integer literal longer than 4300 digits", offset)
 
 
 def test_evaluate_and_free_vars():

@@ -5,7 +5,7 @@ import random
 from caviar.egraph import from_expr
 from caviar.expr import ast_size, evaluate, free_vars, parse_infix
 from caviar.extraction import (
-    AST_DEPTH, AST_SIZE, enumerate_terms, extract_best, extract_graph,
+    _OP_ORDINAL, AST_DEPTH, AST_SIZE, enumerate_terms, extract_best, extract_graph,
 )
 from caviar.matching import apply_rule
 from caviar.rules import default_ruleset, parse_rules
@@ -138,3 +138,9 @@ def test_extract_graph_equals_rebuilding_from_the_term():
                     (i, root, cm)
                 checked += 1
     assert checked > 1000
+
+
+def test_tie_break_order_is_pinned():
+    # the pinned reports depend on it: leaf kinds, then the operator table
+    assert list(_OP_ORDINAL) == ("int bool var neg ! + - * / % min max "
+                                 "< <= > >= == != && ||").split()

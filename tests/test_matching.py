@@ -10,7 +10,7 @@ import tokenize
 
 import pytest
 
-from caviar.egraph import EGraph, ENode, from_expr, leaf
+from caviar.egraph import EGraph, ENode, from_expr
 from caviar.expr import SortError, parse_infix, parse_sexpr
 from caviar.matching import (
     CondIsConst, CondNonConst, CondNonZero, CondPred, PatVar, Rule,
@@ -20,7 +20,7 @@ from caviar.matching import (
 from caviar.rules import default_nppd_patterns, default_ruleset, parse_nppd, parse_rules
 
 from .helpers import (
-    assert_canonical_storage, ematch, oracle_apply, oracle_ematch,
+    assert_canonical_storage, ematch, leaf, oracle_apply, oracle_ematch,
     random_bool_expr, saturate,
 )
 
@@ -134,12 +134,15 @@ def test_conditional_rule_respects_condition():
 
 def test_instantiate_reuses_classes():
     g, root = from_expr(parse_infix("a + b"))
-    n_before = len(g.classes)
-    subst = ematch(g, pat("(+ ?x ?y)"))[0][1]
-    cid = rule("(rule flip (+ ?x ?y) (+ ?y ?x))").build(g, subst)
-    assert len(g.classes) == n_before + 1  # only the flipped sum is new
-    assert cid != g.find(root)
-    assert g.classes[cid].nodes == [ENode("+", None, (subst["y"], subst["x"]))]
+    r = rule("(rule flip (+ ?x ?y) (+ ?y ?x))")
+    matches = gather_matches(g, r)
+    [(_, subst)] = matches
+    before = set(g.hashcons)
+    assert r.apply(g, matches, lambda: None) == 1
+    # only the flipped sum is new, over the classes ?x and ?y matched
+    flipped = ENode("+", None, (subst["y"], subst["x"]))
+    assert set(g.hashcons) - before == {flipped}
+    assert g.find(g.hashcons[flipped]) == g.find(root)
 
 
 def test_snapshot_semantics_order_invariance():
@@ -282,8 +285,7 @@ def test_odd_names_compile_match_and_apply():
 
 
 def generated_sources(r):
-    return [_search_source(r.lhs, r.cond)[1], _apply_source(r.rhs, False)[1],
-            _apply_source(r.rhs, True)[1]]
+    return [_search_source(r.lhs, r.cond)[1], _apply_source(r.rhs)[1]]
 
 
 def test_generated_source_holds_only_made_up_names():
