@@ -8,6 +8,8 @@ caused by an unsound rule or an engine bug).
 
 from __future__ import annotations
 
+import math
+
 from .expr import apply_op
 
 LEAF_INT = "int"
@@ -15,10 +17,25 @@ LEAF_BOOL = "bool"
 LEAF_VAR = "var"
 
 
+def _show(value) -> str:
+    """`repr(value)`, or for an integer past the int/str digit limit, which
+    `repr` refuses, its sign and its number of decimal digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        n = abs(value)
+        digits = int(math.log10(n)) + 1  # off by one only next to a power of 10
+        if n < 10 ** (digits - 1):
+            digits -= 1
+        elif n >= 10 ** digits:
+            digits += 1
+        return f"<{'-' if value < 0 else ''}{digits}-digit integer>"
+
+
 class ConstantContradiction(Exception):
     def __init__(self, a, b, context: str = ""):
         self.values = (a, b)
-        msg = f"constant contradiction: {a!r} vs {b!r}"
+        msg = f"constant contradiction: {_show(a)} vs {_show(b)}"
         if context:
             msg += f" ({context})"
         super().__init__(msg)

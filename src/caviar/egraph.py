@@ -178,15 +178,16 @@ class EGraph:
     # -- rebuilding --------------------------------------------------------
 
     def rebuild(self) -> None:
+        find, uf, classes = self.find, self._uf, self.classes
         while self._worklist:
-            todo = dict.fromkeys(map(self.find, self._worklist))
+            todo = dict.fromkeys([c if uf[c] == c else find(c) for c in self._worklist])
             self._worklist = []
             for c in todo:
-                self._repair(self.find(c))
+                self._repair(c if uf[c] == c else find(c))
         # the one place that keeps stored nodes canonical and duplicate-free;
         # `_repair` rewrites only the parent lists
-        for cid in {self.find(c) for c in self._stale}:
-            cls = self.classes[cid]
+        for cid in {c if uf[c] == c else find(c) for c in self._stale}:
+            cls = classes[cid]
             cls.nodes = list(dict.fromkeys(map(self.canonicalize, cls.nodes)))
         self._stale.clear()
 

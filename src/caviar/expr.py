@@ -218,14 +218,20 @@ _PREC = {"||": 1, "&&": 2, "<": 3, "<=": 3, ">": 3, ">=": 3, "==": 3, "!=": 3,
          "+": 4, "-": 4, "*": 5, "/": 5, "%": 5}
 _CMP_PREC = 3
 
-_PUNCT = ("<=", ">=", "==", "!=", "&&", "||", "<", ">", "(", ")", ",",
-          "+", "-", "*", "/", "%", "!")
+# one token per match, whitespace skipped between matches: an integer (a run
+# of `str.isdecimal` characters, which `int` takes; `str.isdigit` also takes
+# '²'), a run of `isalnum` characters or '_' that is an identifier if it
+# starts with a letter or '_', a punctuation token (longest first), or any
+# other character, which is an error. In `str` patterns `\s`, `\d` and `\w`
+# are `str.isspace`, `str.isdecimal` and `str.isalnum` or '_'.
+_INFIX_TOKEN = re.compile(r"(\d+)|(\w+)|(<=|>=|==|!=|&&|\|\||[-<>(),+*/%!])|(\S)")
+_INFIX_KINDS = (None, "int", "ident", "punct")
 
 
 def _ident_end(text: str, i: int) -> int:
     """End of the identifier starting at `text[i]`, or `i` if none does: a
-    letter or '_', then letters, digits or '_'. Both grammars read
-    identifiers with this."""
+    letter or '_', then letters, digits or '_'. S-expression atoms are read
+    with this; `_INFIX_TOKEN` reads the same identifiers in one match."""
     c = text[i]
     if not (c.isalpha() or c == "_"):
         return i
@@ -249,32 +255,12 @@ def _int_literal(text: str, off: int) -> int:
 
 def _tokenize_infix(text: str) -> list[tuple[str, str, int]]:
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdecimal():  # `int` takes these; isdigit also takes '²'
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            toks.append(("int", text[i:j], i))
-            i = j
-            continue
-        j = _ident_end(text, i)
-        if j > i:
-            toks.append(("ident", text[i:j], i))
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(("punct", p, i))
-                i += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    toks.append(("eof", "", n))
+    for m in _INFIX_TOKEN.finditer(text):
+        kind, tok, i = m.lastindex, m.group(), m.start()
+        if kind == 4 or (kind == 2 and not (tok[0].isalpha() or tok[0] == "_")):
+            raise ParseError(f"unexpected character {tok[0]!r}", i)
+        toks.append((_INFIX_KINDS[kind], tok, i))
+    toks.append(("eof", "", len(text)))
     return toks
 
 

@@ -59,8 +59,14 @@ def _relax(g: EGraph, depth: bool) -> tuple[dict[EClassId, int], dict[EClassId, 
 
 
 def _picks(g: EGraph, root: EClassId, cost_model: str):
-    """The root's canonical id, its class costs and its picked e-nodes."""
+    """The root's canonical id, its class costs and its picked e-nodes, of
+    every class or, when the root stores a leaf, of the root alone: a leaf
+    costs 1 under both models, so no term of the root costs less, and
+    `_relax` picks its least leaf by `_node_key`."""
     root = g.find(root)
+    leaves = [n for n in g.classes[root].nodes if not n.children]
+    if leaves:
+        return root, {root: 1}, {root: min(leaves, key=_node_key)}
     cost, pick = _relax(g, cost_model == AST_DEPTH)
     if root not in cost:
         raise RuntimeError(f"class {root} has no extractable finite term")
@@ -73,8 +79,8 @@ def extract_best(g: EGraph, root: EClassId, cost_model: str = AST_SIZE) -> tuple
     Integer costs are relaxed to their fixed point, and each class picks on
     the way its e-node of least cost, ties broken by operator ordinal, then
     by the children's canonical class ids, so extraction is deterministic
-    for a given graph. Reads the stored e-nodes, so the graph must be
-    rebuilt.
+    for a given graph; a class that stores a leaf needs no relaxation (see
+    `_picks`). Reads the stored e-nodes, so the graph must be rebuilt.
     """
     root, cost, pick = _picks(g, root, cost_model)
     terms: dict[EClassId, Expr] = {}

@@ -8,8 +8,8 @@ from caviar import analysis
 from caviar.egraph import EClass, EGraph, ENode, enode
 from caviar.extraction import AST_DEPTH, _node_key
 from caviar.expr import (
-    BOOL, INT, OPERATORS, Binary, BoolConst, Expr, IntConst, Unary, Var,
-    evaluate, free_vars,
+    BOOL, INT, OPERATORS, Binary, BoolConst, Expr, IntConst, ParseError, Unary,
+    Var, _ident_end, evaluate, free_vars,
 )
 from caviar.matching import PatVar, Rule, apply_matches, gather_matches
 
@@ -402,3 +402,60 @@ def oracle_extract_best(g: EGraph, root: int, cost_model: str) -> tuple[Expr, in
         return Binary(n.op, build(n.children[0]), build(n.children[1]))
 
     return build(root), best[root][0]
+
+
+# ---------------------------------------------------------------------------
+# The operator index and the shape recomputed over every class: the
+# reference the graph's cached index is tested against.
+
+def oracle_index(g: EGraph) -> tuple[dict[str, list[int]], set]:
+    by_op: dict[str, list[int]] = {}
+    ops_of: dict[int, set[str]] = {}
+    classes = g.classes
+    for cid in sorted(classes):
+        ops = ops_of[cid] = {n.op for n in classes[cid].nodes}
+        for op in ops:
+            by_op.setdefault(op, []).append(cid)
+    shape = {(n.op, i, child_op) for cls in classes.values() for n in cls.nodes
+             for i, c in enumerate(n.children) for child_op in ops_of[c]}
+    shape.update(by_op)
+    return by_op, shape
+
+
+# ---------------------------------------------------------------------------
+# The infix tokenizer one character at a time, trying each punctuation token
+# in turn: the reference the one-pattern tokenizer is tested against.
+
+_PUNCT = ("<=", ">=", "==", "!=", "&&", "||", "<", ">", "(", ")", ",",
+          "+", "-", "*", "/", "%", "!")
+
+
+def oracle_tokenize_infix(text: str) -> list[tuple[str, str, int]]:
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isdecimal():  # `int` takes these; isdigit also takes '²'
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            toks.append(("int", text[i:j], i))
+            i = j
+            continue
+        j = _ident_end(text, i)
+        if j > i:
+            toks.append(("ident", text[i:j], i))
+            i = j
+            continue
+        for p in _PUNCT:
+            if text.startswith(p, i):
+                toks.append(("punct", p, i))
+                i += len(p)
+                break
+        else:
+            raise ParseError(f"unexpected character {c!r}", i)
+    toks.append(("eof", "", n))
+    return toks

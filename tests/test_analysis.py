@@ -49,3 +49,14 @@ def test_join_distinguishes_bool_from_int():
         join(1, True)
     with pytest.raises(ConstantContradiction):
         join(0, False)
+
+
+def test_contradiction_message_bounds_long_integers():
+    # past the int/str digit limit `repr` raises; the message gives the
+    # digit count, exact also next to a power of ten
+    big = 10 ** 4400
+    exc = ConstantContradiction(big - 1, -big, context="here")
+    assert str(exc) == ("constant contradiction: <4400-digit integer> vs "
+                        "<-4401-digit integer> (here)")
+    assert exc.values == (big - 1, -big)
+    assert str(ConstantContradiction(3, True)) == "constant contradiction: 3 vs True"

@@ -230,6 +230,20 @@ def test_unsound_rules_fatal_exit_code(tmp_path, capsys):
     assert "fatal: constant contradiction: " in err
 
 
+def test_contradiction_past_the_digit_limit_is_fatal(tmp_path, capsys):
+    # both constants are past the int/str digit limit, so the message gives
+    # their digit counts; formatting them must not turn exit 3 into exit 2
+    rules = tmp_path / "rules.txt"
+    rules.write_text("(rule bad (+ ?a 1) ?a)\n", encoding="utf-8")
+    expr = "9" * 4000 + " * " + "9" * 400 + " + 1 < x"
+    code, out, err = run_cli(capsys, "prove", "--expr", expr, "--rules", str(rules),
+                             "--no-nppd", "--deterministic")
+    assert code == 3
+    assert out == ""
+    assert err.endswith("fatal: constant contradiction: <4400-digit integer> vs "
+                        "<4400-digit integer> (union of classes 2 and 4)\n")
+
+
 def test_bare_variable_lhs_rule_file_exit_code(tmp_path, capsys):
     rules = tmp_path / "rules.txt"
     rules.write_text("(rule pad ?a (+ ?a 0))\n", encoding="utf-8")

@@ -7,10 +7,11 @@ import pytest
 from caviar.analysis import ConstantContradiction
 from caviar.egraph import EGraph, ENode, from_expr, leaf_of, leaf_term, literal
 from caviar.expr import BoolConst, IntConst, Var, parse_infix
+from caviar.rules import default_ruleset
 
 from .helpers import (
     VAR_NAMES, OracleEGraph, assert_canonical_storage, brute_force_congruence,
-    leaf, random_congruence_graph,
+    leaf, oracle_index, random_congruence_graph, random_expr, saturate,
 )
 
 
@@ -219,6 +220,43 @@ def test_incremental_repair_agrees_with_full_repair_oracle():
     # `add` gives a fresh literal leaf its datum without a fold, and the
     # repair of a class with no datum skips the fold
     assert literal_leaves >= 1000 and bare_repairs >= 400, (literal_leaves, bare_repairs)
+
+
+class IndexCheckedEGraph(EGraph):
+    """Checks the operator index and the shape that the graph caches per
+    version against the ones recomputed over every class, after every
+    rebuild: a write that does not bump the version leaves the cache stale."""
+
+    def __init__(self):
+        super().__init__()
+        self.checked = 0
+
+    def rebuild(self):
+        super().rebuild()
+        by_op, shape = oracle_index(self)
+        assert self.classes_by_op() == by_op
+        assert self.shape() == shape
+        self.checked += 1
+
+
+def test_cached_index_agrees_with_recomputed_index():
+    # the constant scripts union, add over ids that are not roots and
+    # materialize literals; saturation adds and unions at scale
+    checked = grew = 0
+    for seed in range(300):
+        g = IndexCheckedEGraph()
+        _run_constant_script(g, random.Random(seed))
+        checked += g.checked
+    rules = default_ruleset().rules
+    for seed in range(16):
+        g = IndexCheckedEGraph()
+        g.add_expr(random_expr(random.Random(seed), 4))
+        g.rebuild()
+        before = len(g.shape())
+        saturate(g, rules, 3)
+        checked += g.checked
+        grew += len(g.shape()) > before
+    assert checked >= 600 and grew >= 12, (checked, grew)
 
 
 def test_leaf_encoding_round_trips():

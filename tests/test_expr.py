@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,11 +12,12 @@ from hypothesis import strategies as st
 
 from caviar.expr import (
     BOOL, INT, OPERATORS, Binary, BoolConst, IntConst, ParseError, PatVar,
-    SortError, Unary, UnboundVariable, Var, apply_op, ast_size, evaluate,
-    free_vars, parse_infix, parse_sexpr, print_infix, print_sexpr, sort_of,
+    SortError, Unary, UnboundVariable, Var, _tokenize_infix, apply_op, ast_size,
+    evaluate, free_vars, parse_infix, parse_sexpr, print_infix, print_sexpr,
+    sort_of,
 )
 
-from .helpers import VALUE_POOL, random_expr
+from .helpers import VALUE_POOL, oracle_tokenize_infix, random_expr
 
 
 def test_parse_infix_precedence():
@@ -101,6 +104,43 @@ def test_parse_error_texts_pinned(src, error):
     with pytest.raises((ParseError, SortError)) as exc:
         parse_infix(src)
     assert f"{exc.type.__name__}: {exc.value}" == error
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return exc.message, exc.offset
+
+
+# '²' is isdigit but neither isdecimal nor isalpha, '٣' is a decimal digit
+# that `int` reads, '\x1c' is whitespace, and '&' is a punctuation token
+# only when doubled
+_TRICKY = "²٣é\x1c&|=!<>-_ ( ),+*/%\t\n\xa0½Ⅷ"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(st.one_of(st.sampled_from(_TRICKY), st.characters(max_codepoint=127),
+                         st.characters()), max_size=24))
+def test_tokenizer_agrees_with_per_character_reference(text):
+    assert (_tokens_or_error(_tokenize_infix, text)
+            == _tokens_or_error(oracle_tokenize_infix, text))
+
+
+def test_tokenizer_cases_agree_with_per_character_reference():
+    for text in ["²", "٣", "é", "\x1c", "&", "a²", "3x + é1", "٣٣ <= x\x1c",
+                 "a && b || !c", "a & b", "x2_ != _y", "min(a,b)>=-3", "½", ""]:
+        assert (_tokens_or_error(_tokenize_infix, text)
+                == _tokens_or_error(oracle_tokenize_infix, text)), text
+
+
+def test_tokenizer_character_classes_are_the_str_predicates():
+    # the pattern's \s, \d and \w stand for str.isspace, str.isdecimal and
+    # str.isalnum or '_' on every code point
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    for cls, pred in ((r"\s", str.isspace), (r"\d", str.isdecimal),
+                      (r"\w", lambda c: c.isalnum() or c == "_")):
+        assert re.findall(cls, every) == [c for c in every if pred(c)], cls
 
 
 def test_parse_deep_sum_checks_sorts_in_linear_time():

@@ -2,16 +2,17 @@
 
 import random
 
-from caviar.egraph import from_expr
+from caviar.egraph import EGraph, ENode, from_expr, leaf_term
 from caviar.expr import ast_size, evaluate, free_vars, parse_infix
 from caviar.extraction import (
-    _OP_ORDINAL, AST_DEPTH, AST_SIZE, enumerate_terms, extract_best, extract_graph,
+    _OP_ORDINAL, AST_DEPTH, AST_SIZE, _picks, _relax, enumerate_terms, extract_best,
+    extract_graph,
 )
 from caviar.matching import apply_rule
 from caviar.rules import default_ruleset, parse_rules
 
 from .helpers import (
-    exprs_agree, oracle_extract_best, random_bool_expr, random_congruence_graph,
+    exprs_agree, leaf, oracle_extract_best, random_bool_expr, random_congruence_graph,
     random_expr, random_int_expr, saturate,
 )
 
@@ -144,3 +145,44 @@ def test_tie_break_order_is_pinned():
     # the pinned reports depend on it: leaf kinds, then the operator table
     assert list(_OP_ORDINAL) == ("int bool var neg ! + - * / % min max "
                                  "< <= > >= == != && ||").split()
+
+
+def _literal_root_graph():
+    """Classes that store leaves beside operator e-nodes after unions: `x`,
+    `y`, `3` and `x + 0`; `true` and `a < b`; `z` and `true`."""
+    g = EGraph()
+    x, y, z, a, b = (g.add(leaf("var", name)) for name in "xyzab")
+    three, zero = g.add(leaf("int", 3)), g.add(leaf("int", 0))
+    plus = g.add(ENode("+", None, (x, zero)))
+    less = g.add(ENode("<", None, (a, b)))
+    true = g.add(leaf("bool", True))
+    for u, v in ((plus, y), (three, x), (y, plus), (less, true), (z, true)):
+        g.union(u, v)
+    g.rebuild()
+    return g, {"int": g.find(x), "bool": g.find(less)}
+
+
+def test_literal_root_skips_relaxation_with_the_same_pick():
+    # a root that stores a leaf picks its least leaf at cost 1, as
+    # relaxation does; the leaf order puts int before bool before var
+    g, roots = _literal_root_graph()
+    assert {n.op for n in g.classes[roots["int"]].nodes} == {"var", "int", "+"}
+    assert {n.op for n in g.classes[roots["bool"]].nodes} == {"var", "bool", "<"}
+    for kind, root in roots.items():
+        for cm in (AST_SIZE, AST_DEPTH):
+            cost, pick = _relax(g, cm == AST_DEPTH)
+            got_root, got_cost, got_pick = _picks(g, root, cm)
+            assert got_root == root
+            assert (got_cost[root], got_pick[root]) == (cost[root], pick[root]) == (1, pick[root])
+            assert pick[root].op == kind, (kind, cm)
+            term = leaf_term(pick[root])
+            assert extract_best(g, root, cm) == (term, 1)
+            copy, copy_root = extract_graph(g, root, cm)
+            ref, ref_root = from_expr(term)
+            assert (copy.dump(), copy_root, copy._uf) == (ref.dump(), ref_root, ref._uf)
+    # among variables, the least name
+    h = EGraph()
+    h.union(h.add(leaf("var", "y")), h.add(leaf("var", "x")))
+    h.rebuild()
+    for cm in (AST_SIZE, AST_DEPTH):
+        assert _picks(h, 0, cm)[2][0] == _relax(h, cm == AST_DEPTH)[1][0] == leaf("var", "x")
