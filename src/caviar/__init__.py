@@ -2,8 +2,7 @@
 saturation over an e-graph, with iteration-level goal checks, pulsed
 restarts, and non-provable pattern detection."""
 
-from .analysis import ConstantContradiction
-from .egraph import EGraph, ENode, from_expr
+from .egraph import ConstantContradiction, EGraph, ENode, from_expr
 from .engine import (
     EngineConfig, ProveResult, RunReport, SimplifyResult, StopReason,
     prove, prove_pulsed, simplify,
@@ -15,10 +14,10 @@ from .expr import (
 )
 from .extraction import AST_DEPTH, AST_SIZE, extract_best
 from .harness import emit_report, run_dataset, summarize
-from .matching import Rule, apply_rule
+from .matching import NPPattern, Rule, apply_rule
 from .rules import (
-    NPPattern, Ruleset, default_nppd_patterns, default_ruleset,
-    load_nppd, load_rules, parse_nppd, parse_rules,
+    Ruleset, default_nppd_patterns, default_ruleset, load_nppd, load_rules,
+    parse_nppd, parse_rules,
 )
 
 __version__ = "1.0.0"

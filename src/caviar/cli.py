@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import ConstantContradiction
+from .egraph import ConstantContradiction
 from .engine import EngineConfig, prove_pulsed, simplify
 from .expr import BoolConst, ParseError, SortError, parse_infix, print_infix
 from .extraction import AST_DEPTH, AST_SIZE
@@ -43,8 +43,6 @@ def _parse_goals(text: str) -> list[BoolConst]:
             goals.append(BoolConst(False))
         else:
             raise ValueError(f"goal must be true or false, got {part!r}")
-    if not goals:
-        raise ValueError("at least one goal is required")
     return goals
 
 

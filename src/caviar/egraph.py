@@ -9,18 +9,57 @@ Only the classes a union kept or a repair re-keyed can break that, so
 e-nodes that a union made non-canonical or congruent to another.
 The union-find keeps the smallest member id as the canonical representative,
 which makes class ids (and everything derived from them) deterministic.
+
+Constant folding is the graph's one analysis: an e-node whose children all
+hold a constant datum (int or bool) folds by the operator table, and its
+class stores the literal e-node of the datum too. Merging distinct data is a
+fatal contradiction, which only an unsound rule or an engine bug can cause.
 """
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import NamedTuple
 
-from . import analysis
-from .analysis import ConstantContradiction, LEAF_BOOL, LEAF_INT, LEAF_VAR
-from .expr import Binary, BoolConst, Expr, IntConst, Unary, Var, print_sexpr
+from .expr import OPERATORS, Binary, BoolConst, Expr, IntConst, Unary, Var
 
 EClassId = int
+
+LEAF_INT = "int"
+LEAF_BOOL = "bool"
+LEAF_VAR = "var"
+
+
+def _show(value) -> str:
+    """`repr(value)`, or for an integer past the int/str digit limit, which
+    `repr` refuses, its sign and its number of decimal digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        n = abs(value)
+        digits = int(math.log10(n)) + 1  # off by one only next to a power of 10
+        if n < 10 ** (digits - 1):
+            digits -= 1
+        elif n >= 10 ** digits:
+            digits += 1
+        return f"<{'-' if value < 0 else ''}{digits}-digit integer>"
+
+
+class ConstantContradiction(Exception):
+    def __init__(self, a, b, context: str = ""):
+        self.values = (a, b)
+        msg = f"constant contradiction: {_show(a)} vs {_show(b)}"
+        if context:
+            msg += f" ({context})"
+        super().__init__(msg)
+
+
+def _agree(a, b, context: str) -> None:
+    """Raise ConstantContradiction unless the data `a` and `b` are one
+    constant: equal, and both bool or both int (`1 == True` in Python)."""
+    if a != b or isinstance(a, bool) != isinstance(b, bool):
+        raise ConstantContradiction(a, b, context)
 
 
 class ENode(NamedTuple):
@@ -131,9 +170,8 @@ class EGraph:
                 data.append(child.data)
             # folds only when every child holds a datum
             if None not in data:
-                cls.data = analysis.make(op, payload, tuple(data))
-                if cls.data is not None:
-                    cid = self._materialize_const(cid)
+                cls.data = OPERATORS[op].semantics(*data)
+                cid = self._materialize_const(cid)
         elif op == LEAF_INT or op == LEAF_BOOL:
             # a literal is its own datum and its own literal e-node
             cls.data = payload
@@ -141,8 +179,8 @@ class EGraph:
         return cid
 
     def _materialize_const(self, cid: EClassId) -> EClassId:
-        """Add the literal e-node for a class's constant datum (analysis
-        modify); returns the class that holds `cid` afterwards."""
+        """Add the literal e-node for a class's constant datum (egg's
+        analysis `modify`); returns the class that holds `cid` afterwards."""
         ln = literal(self.classes[cid].data)
         other = self.hashcons.get(ln)
         if other is None:
@@ -162,9 +200,9 @@ class EGraph:
         keep, gone = (fa, fb) if fa < fb else (fb, fa)
         kc, gc = self.classes[keep], self.classes.pop(gone)
         uf[gone] = keep
-        # the join's context is formatted only where it can raise
+        # the context is formatted only where it can raise
         if kc.data is not None and gc.data is not None:
-            analysis.join(kc.data, gc.data, context=f"union of classes {keep} and {gone}")
+            _agree(kc.data, gc.data, f"union of classes {keep} and {gone}")
         kc.nodes.extend(gc.nodes)
         kc.parents.extend(gc.parents)
         if kc.data is None and gc.data is not None:
@@ -225,14 +263,14 @@ class EGraph:
         for pnode, pclass in new_parents.items():
             if uf[pclass] != pclass:
                 pclass = find(pclass)
-            child_data = tuple([classes[c if uf[c] == c else find(c)].data
-                                for c in pnode.children])
+            child_data = [classes[c if uf[c] == c else find(c)].data
+                          for c in pnode.children]
             if None in child_data:
                 continue
             pcls = classes[pclass]
-            nd = analysis.make(pnode.op, pnode.payload, child_data)
+            nd = OPERATORS[pnode.op].semantics(*child_data)
             if pcls.data is not None:
-                analysis.join(pcls.data, nd, context=f"folding into class {pclass}")
+                _agree(pcls.data, nd, f"folding into class {pclass}")
             else:
                 pcls.data = nd
                 self._materialize_const(pclass)
@@ -287,21 +325,6 @@ class EGraph:
         if isinstance(e, Unary):
             return self.add(enode((e.op, None, (self.add_expr(e.child),))))
         return self.add(leaf_of(e))
-
-    def dump(self) -> str:
-        """Deterministic textual dump for golden tests."""
-        lines = []
-        for cid in sorted(self.classes):
-            parts = []
-            for n in sorted(self.classes[cid].nodes, key=repr):
-                if n.children:
-                    parts.append("(" + " ".join([n.op] + [f"c{c}" for c in n.children]) + ")")
-                else:
-                    parts.append(print_sexpr(leaf_term(n)))
-            data = self.classes[cid].data
-            suffix = "" if data is None else f"  [= {data!r}]"
-            lines.append(f"c{cid}: " + ", ".join(parts) + suffix)
-        return "\n".join(lines)
 
 
 def from_expr(e: Expr) -> tuple[EGraph, EClassId]:

@@ -10,8 +10,7 @@ from dataclasses import dataclass, field, replace
 from .egraph import EClassId, EGraph, from_expr
 from .expr import BOOL, BoolConst, Expr, SortError, sort_of
 from .extraction import AST_SIZE, extract_best, extract_graph
-from .matching import _no_tick, apply_matches, gather_matches
-from .rules import NPPattern
+from .matching import NPPattern, _no_tick, apply_matches, gather_matches
 
 PROVED = "proved"
 NON_PROVABLE = "non_provable"

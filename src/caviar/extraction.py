@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from .analysis import LEAF_BOOL, LEAF_INT, LEAF_VAR
-from .egraph import EClassId, EGraph, ENode, enode, leaf_term
+from .egraph import LEAF_BOOL, LEAF_INT, LEAF_VAR, EClassId, EGraph, ENode, enode, leaf_term
 from .expr import OPERATORS, Binary, Expr, Unary
 
 AST_SIZE = "ast-size"

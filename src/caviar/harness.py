@@ -13,8 +13,7 @@ from dataclasses import asdict, dataclass
 
 from .engine import EngineConfig, NON_PROVABLE, PROVED, prove_pulsed
 from .expr import ParseError, SortError, parse_infix, print_infix
-from .matching import Rule
-from .rules import NPPattern
+from .matching import NPPattern, Rule
 
 CSV_HEADER = ["id", "expression", "outcome", "stop_reason", "time_ms",
               "iterations", "pulses", "classes", "enodes",
@@ -125,8 +124,11 @@ def _worker(item: tuple[int, str]) -> Row:
 def run_dataset(text: str, rules: list[Rule], patterns: list[NPPattern],
                 cfg: EngineConfig, jobs: int = 1) -> list[Row]:
     """Prove every expression in a dataset; rows keep the input order. Pool
-    workers receive the rules, patterns and config once, rows in chunks."""
+    workers, no more than there are rows, receive the rules, patterns and
+    config once, rows in chunks."""
     items = read_dataset(text)
+    # the pool starts every worker at its first task, however few rows
+    jobs = min(jobs, len(items))
     if jobs <= 1:
         return [prove_line(item, rules, patterns, cfg) for item in items]
     # imported only here: the pool's machinery costs every single-process run

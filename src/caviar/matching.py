@@ -1,8 +1,9 @@
-"""Patterns, e-matching, conditions, and rewrite rule application."""
+"""Patterns, e-matching, conditions, rewrite rules and non-provable
+patterns, and rule application."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from itertools import count
 from typing import Union
@@ -94,26 +95,6 @@ def condition_vars(c: Condition | None) -> list[str]:
 eval_pattern_ground = evaluate
 
 
-def check_scope(where: str, bound: list[str], what: str, used: list[str]) -> None:
-    """The scope rule of rules and non-provable patterns: every variable
-    that `what` uses is bound by the pattern they match."""
-    free = [f"?{v}" for v in used if v not in bound]
-    if free:
-        raise SortError(f"{where}: {what} uses {', '.join(free)}, not bound by the pattern")
-
-
-def check_preds(where: str, cond: Condition | None, sorts: dict[str, str]) -> None:
-    """Each `pred` of a condition is a boolean term over the pattern's
-    variables, at the sorts `sorts` the pattern gives them."""
-    if isinstance(cond, CondAnd):
-        for c in cond.items:
-            check_preds(where, c, sorts)
-    elif isinstance(cond, CondPred):
-        got = sort_of(cond.expr, sorts, BOOL)
-        if got != BOOL:
-            raise SortError(f"{where}: pred is {got}-sorted, expected bool")
-
-
 def _holds(cond: Condition, datum, isvar) -> bool:
     """The one interpreter of conditions: `datum(v)` is the constant that
     pattern variable `v` stands for, or None, and `isvar(v)` whether `v`'s
@@ -159,18 +140,60 @@ def eval_condition_ground(cond: Condition, values: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Rules.
+# Rules and non-provable patterns: each is a guarded pattern, one that
+# matches where its substitution satisfies its side condition.
+
+class _Guarded:
+    """What `Rule` and `NPPattern` share: the pattern `lhs`, searched for
+    matches whose substitution satisfies the condition `cond`."""
+
+    def __reduce__(self):
+        # pickles without the compiled forms, which hold generated code
+        return (type(self), tuple([getattr(self, f.name) for f in fields(self)]))
+
+    @cached_property
+    def gather(self):
+        """`gather(g, tick, cands=None)`: the matches of `lhs` whose
+        substitution satisfies `cond`, over the classes `cands` if given;
+        compiled on first use."""
+        return _define(*_search_source(self.lhs, self.cond))
+
+    def _check(self, where: str, sides: tuple) -> dict[str, str]:
+        """The scope and sort rules, with errors named `where`. `sides` are
+        the `(name, pattern)` pairs checked, `lhs` first: each later side and
+        the condition use only variables that `lhs` binds, every side has
+        the sort `_sort` gives, and each `pred` of the condition is a boolean
+        term at the sorts the sides give the variables, which are returned."""
+        bound = pattern_vars(self.lhs)
+        used = [(name, pattern_vars(p)) for name, p in sides[1:]]
+        for what, names in used + [("condition", condition_vars(self.cond))]:
+            free = [f"?{v}" for v in names if v not in bound]
+            if free:
+                raise SortError(f"{where}: {what} uses {', '.join(free)}, not bound by the pattern")
+        sort = self._sort(where)
+        env: dict[str, str] = {}
+        for name, p in sides:
+            got = sort_of(p, env, sort)
+            if got != sort:
+                raise SortError(f"{where}: {name} is {got}-sorted, expected {sort}")
+        conds = [self.cond]
+        while conds:
+            c = conds.pop()
+            if isinstance(c, CondAnd):
+                conds.extend(reversed(c.items))
+            elif isinstance(c, CondPred):
+                got = sort_of(c.expr, env, BOOL)
+                if got != BOOL:
+                    raise SortError(f"{where}: pred is {got}-sorted, expected bool")
+        return env
+
 
 @dataclass(frozen=True)
-class Rule:
+class Rule(_Guarded):
     name: str
     lhs: Pattern
     rhs: Pattern
     cond: Condition | None = None
-
-    def __reduce__(self):
-        # pickles without the compiled forms, which hold generated code
-        return (Rule, (self.name, self.lhs, self.rhs, self.cond))
 
     @cached_property
     def shape(self) -> frozenset:
@@ -193,34 +216,41 @@ class Rule:
         go(self.lhs)
         return frozenset(out)
 
-    # the compiled forms, each built on first use
-    @cached_property
-    def gather(self):
-        """`gather(g, tick, cands=None)`: `gather_matches` of this rule,
-        over the classes `cands` if given."""
-        return _define(*_search_source(self.lhs, self.cond))
-
     @cached_property
     def apply(self):
-        """`apply(g, matches, tick)`: `apply_matches` of this rule."""
+        """`apply(g, matches, tick)`: `apply_matches` of this rule, compiled
+        on first use."""
         return _define(*_apply_source(self.rhs))
 
-    def validate(self) -> dict[str, str]:
-        """Check variable scoping and sorts; returns the variables' sorts."""
-        where, bound = f"rule {self.name}", pattern_vars(self.lhs)
-        check_scope(where, bound, "rhs", pattern_vars(self.rhs))
-        check_scope(where, bound, "condition", condition_vars(self.cond))
+    def _sort(self, where: str) -> str:
         if isinstance(self.lhs, PatVar):
             # it would match every class, of either sort
             raise SortError(f"{where}: lhs is a bare pattern variable")
-        sort = root_sort(self.lhs)
-        env: dict[str, str] = {}
-        for side, p in (("lhs", self.lhs), ("rhs", self.rhs)):
-            got = sort_of(p, env, sort)
-            if got != sort:
-                raise SortError(f"{where}: {side} is {got}-sorted, expected {sort}")
-        check_preds(where, self.cond, env)
-        return env
+        return root_sort(self.lhs)
+
+    def validate(self) -> dict[str, str]:
+        """Check variable scoping and sorts; returns the variables' sorts."""
+        return self._check(f"rule {self.name}", (("lhs", self.lhs), ("rhs", self.rhs)))
+
+
+@dataclass(frozen=True)
+class NPPattern(_Guarded):
+    """A pattern whose instances the ruleset is known to be unable to decide."""
+    id: str
+    pattern: Pattern
+    cond: Condition
+
+    @property
+    def lhs(self) -> Pattern:
+        """The pattern, under the name a rule gives its own."""
+        return self.pattern
+
+    def _sort(self, where: str) -> str:
+        return BOOL
+
+    def validate(self) -> dict[str, str]:
+        """Check variable scoping and sorts; returns the variables' sorts."""
+        return self._check(f"nppd {self.id}", (("pattern", self.pattern),))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Built-in axiomatic ruleset, non-provable patterns, and rule file I/O.
+"""The rule file format, and the built-in ruleset and non-provable patterns.
 
 Rule files are line-oriented s-expressions:
 
@@ -18,16 +18,12 @@ A malformed file raises ParseError or SortError naming the line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache
 
-from .expr import (
-    BOOL, ParseError, PatVar, Pattern, SortError, build_term, print_sexpr,
-    read_sexprs, sort_of,
-)
+from .expr import ParseError, PatVar, SortError, build_term, read_sexprs
 from .matching import (
     CondAnd, CondIsConst, CondIsVar, CondNonConst, CondNonZero, CondPred,
-    Condition, Rule, _define, _search_source, check_preds, check_scope,
-    condition_vars, pattern_vars,
+    Condition, NPPattern, Rule,
 )
 
 # ---------------------------------------------------------------------------
@@ -36,7 +32,6 @@ from .matching import (
 
 _VAR_CONDS = {"const": CondIsConst, "nonconst": CondNonConst,
               "nonzero": CondNonZero, "isvar": CondIsVar}
-_COND_NAMES = {kind: name for name, kind in _VAR_CONDS.items()}
 
 
 def _desugar(node):
@@ -80,23 +75,8 @@ def _cond(node) -> Condition:
     return _VAR_CONDS[head](var.name)
 
 
-def _cond_text(c: Condition) -> str:
-    if isinstance(c, CondAnd):
-        return "(and " + " ".join(_cond_text(i) for i in c.items) + ")"
-    if isinstance(c, CondPred):
-        return f"(pred {print_sexpr(c.expr)})"
-    return f"({_COND_NAMES[type(c)]} ?{c.var})"
-
-
-def rule_to_line(r: Rule) -> str:
-    s = f"(rule {r.name} {print_sexpr(r.lhs)} {print_sexpr(r.rhs)}"
-    if r.cond is not None:
-        s += f" :if {_cond_text(r.cond)}"
-    return s + ")"
-
-
 # ---------------------------------------------------------------------------
-# Domain types.
+# Rulesets.
 
 @dataclass
 class Ruleset:
@@ -114,42 +94,6 @@ class Ruleset:
 
     def __len__(self):
         return len(self.rules)
-
-    def serialize(self) -> str:
-        return "\n".join(rule_to_line(r) for r in self.rules) + "\n"
-
-
-@dataclass(frozen=True)
-class NPPattern:
-    """A pattern whose instances the ruleset is known to be unable to decide."""
-    id: str
-    pattern: Pattern
-    cond: Condition
-
-    def __reduce__(self):
-        # pickles without the compiled search, which holds generated code
-        return (NPPattern, (self.id, self.pattern, self.cond))
-
-    @cached_property
-    def gather(self):
-        """`gather(g, tick, cands=None)`: the matches of the pattern whose
-        substitution satisfies the condition, as `Rule.gather`; built on
-        first use."""
-        return _define(*_search_source(self.pattern, self.cond))
-
-    def validate(self):
-        where = f"nppd {self.id}"
-        check_scope(where, pattern_vars(self.pattern), "condition",
-                    condition_vars(self.cond))
-        sorts: dict[str, str] = {}
-        got = sort_of(self.pattern, sorts, BOOL)
-        if got != BOOL:
-            raise SortError(f"{where}: pattern is {got}-sorted, expected bool")
-        check_preds(where, self.cond, sorts)
-
-
-def nppd_to_line(p: NPPattern) -> str:
-    return f"(nppd {p.id} {print_sexpr(p.pattern)} :if {_cond_text(p.cond)})"
 
 
 # ---------------------------------------------------------------------------
@@ -389,19 +333,11 @@ DEFAULT_NPPD_TEXT = """
 (nppd const-lt-var (< ?c ?x) :if (and (const ?c) (isvar ?x)))
 """
 
-_DEFAULT_RULESET: Ruleset | None = None
-_DEFAULT_NPPD: list[NPPattern] | None = None
-
-
+@cache
 def default_ruleset() -> Ruleset:
-    global _DEFAULT_RULESET
-    if _DEFAULT_RULESET is None:
-        _DEFAULT_RULESET = parse_rules(DEFAULT_RULES_TEXT, name="builtin")
-    return _DEFAULT_RULESET
+    return parse_rules(DEFAULT_RULES_TEXT, name="builtin")
 
 
+@cache
 def default_nppd_patterns() -> list[NPPattern]:
-    global _DEFAULT_NPPD
-    if _DEFAULT_NPPD is None:
-        _DEFAULT_NPPD = parse_nppd(DEFAULT_NPPD_TEXT)
-    return _DEFAULT_NPPD
+    return parse_nppd(DEFAULT_NPPD_TEXT)

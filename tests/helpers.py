@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import random
 
-from caviar import analysis
-from caviar.egraph import EClass, EGraph, ENode, enode
+from caviar.egraph import ConstantContradiction, EClass, EGraph, ENode, enode, leaf_term
 from caviar.extraction import AST_DEPTH, _node_key
 from caviar.expr import (
     BOOL, INT, OPERATORS, Binary, BoolConst, Expr, IntConst, ParseError, Unary,
-    Var, _ident_end, evaluate, free_vars,
+    Var, _ident_end, apply_op, evaluate, free_vars, print_sexpr,
 )
-from caviar.matching import PatVar, Rule, apply_matches, gather_matches
+from caviar.matching import (
+    CondAnd, CondPred, Condition, NPPattern, PatVar, Rule, apply_matches,
+    gather_matches,
+)
+from caviar.rules import _VAR_CONDS, Ruleset
 
 VALUE_POOL = [-100, -17, -10, -8, -7, -5, -4, -3, -2, -1, 0,
               1, 2, 3, 4, 5, 7, 8, 10, 17, 100, 1 << 40, -(1 << 40)]
@@ -168,6 +171,32 @@ def brute_force_congruence(added, unions):
     return find
 
 
+# The constant analysis in its general form, egg's make and merge over
+# data that may be absent: the reference the graph's inline folding and
+# agreement check are tested against.
+
+def oracle_make(op: str, payload, child_data: tuple):
+    """Constant datum for a fresh e-node given its children's data."""
+    if op == "int" or op == "bool":
+        return payload
+    if op == "var":
+        return None
+    if None in child_data:
+        return None
+    return apply_op(op, *child_data)
+
+
+def oracle_join(a, b, context: str = ""):
+    """Least upper bound of two data; absent is bottom."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    if a == b and isinstance(a, bool) == isinstance(b, bool):
+        return a
+    raise ConstantContradiction(a, b, context)
+
+
 class OracleEGraph(EGraph):
     """The e-graph with the full add and repair: `add` canonicalizes any
     node it does not find as given, folds over all children and adds the
@@ -196,8 +225,8 @@ class OracleEGraph(EGraph):
         self.hashcons[n] = cid
         for c in n.children:
             self.classes[c].parents.append((n, cid))
-        cls.data = analysis.make(n.op, n.payload,
-                                 tuple(self.classes[c].data for c in n.children))
+        cls.data = oracle_make(n.op, n.payload,
+                               tuple(self.classes[c].data for c in n.children))
         if cls.data is not None:
             self.literal_leaves += not n.children
             self._materialize_const(cid)
@@ -211,7 +240,7 @@ class OracleEGraph(EGraph):
         keep, gone = (fa, fb) if fa < fb else (fb, fa)
         kc, gc = self.classes[keep], self.classes.pop(gone)
         self._uf[gone] = keep
-        new_data = analysis.join(kc.data, gc.data, context=f"union of classes {keep} and {gone}")
+        new_data = oracle_join(kc.data, gc.data, context=f"union of classes {keep} and {gone}")
         kc.nodes.extend(gc.nodes)
         kc.parents.extend(gc.parents)
         changed = new_data is not None and kc.data is None
@@ -242,15 +271,31 @@ class OracleEGraph(EGraph):
         for pnode, pclass in new_parents.items():
             pclass = self.find(pclass)
             pcls = self.classes[pclass]
-            nd = analysis.make(
+            nd = oracle_make(
                 pnode.op, pnode.payload,
                 tuple(self.classes[self.find(c)].data for c in pnode.children),
             )
-            joined = analysis.join(pcls.data, nd, context=f"folding into class {pclass}")
+            joined = oracle_join(pcls.data, nd, context=f"folding into class {pclass}")
             if joined is not None and pcls.data is None:
                 pcls.data = joined
                 self._materialize_const(pclass)
                 self._worklist.append(pclass)
+
+
+def dump(g: EGraph) -> str:
+    """Deterministic textual dump of a graph for golden tests."""
+    lines = []
+    for cid in sorted(g.classes):
+        parts = []
+        for n in sorted(g.classes[cid].nodes, key=repr):
+            if n.children:
+                parts.append("(" + " ".join([n.op] + [f"c{c}" for c in n.children]) + ")")
+            else:
+                parts.append(print_sexpr(leaf_term(n)))
+        data = g.classes[cid].data
+        suffix = "" if data is None else f"  [= {data!r}]"
+        lines.append(f"c{cid}: " + ", ".join(parts) + suffix)
+    return "\n".join(lines)
 
 
 def assert_canonical_storage(g: EGraph) -> None:
@@ -459,3 +504,33 @@ def oracle_tokenize_infix(text: str) -> list[tuple[str, str, int]]:
             raise ParseError(f"unexpected character {c!r}", i)
     toks.append(("eof", "", n))
     return toks
+
+
+# ---------------------------------------------------------------------------
+# Rules and non-provable patterns written back in the rule file format, for
+# the round-trip tests.
+
+_COND_NAMES = {kind: name for name, kind in _VAR_CONDS.items()}
+
+
+def _cond_text(c: Condition) -> str:
+    if isinstance(c, CondAnd):
+        return "(and " + " ".join(_cond_text(i) for i in c.items) + ")"
+    if isinstance(c, CondPred):
+        return f"(pred {print_sexpr(c.expr)})"
+    return f"({_COND_NAMES[type(c)]} ?{c.var})"
+
+
+def rule_to_line(r: Rule) -> str:
+    s = f"(rule {r.name} {print_sexpr(r.lhs)} {print_sexpr(r.rhs)}"
+    if r.cond is not None:
+        s += f" :if {_cond_text(r.cond)}"
+    return s + ")"
+
+
+def nppd_to_line(p: NPPattern) -> str:
+    return f"(nppd {p.id} {print_sexpr(p.pattern)} :if {_cond_text(p.cond)})"
+
+
+def serialize(rs: Ruleset) -> str:
+    return "\n".join(rule_to_line(r) for r in rs.rules) + "\n"

@@ -170,6 +170,12 @@ def test_goals_flag(capsys):
     assert rows[1][2] == "unknown"
 
 
+def test_empty_goals_are_a_usage_error(capsys):
+    code, _, err = run_cli(capsys, "prove", "--expr", "x < x", "--goals", "")
+    assert code == 2
+    assert "error: goal must be true or false, got ''" in err
+
+
 def test_custom_rules_file(tmp_path, capsys):
     rules = tmp_path / "rules.txt"
     rules.write_text("(rule le-refl (<= ?a ?a) true)\n", encoding="utf-8")

@@ -4,14 +4,15 @@ import random
 
 import pytest
 
-from caviar.analysis import ConstantContradiction
-from caviar.egraph import EGraph, ENode, from_expr, leaf_of, leaf_term, literal
-from caviar.expr import BoolConst, IntConst, Var, parse_infix
+from caviar.egraph import (
+    ConstantContradiction, EGraph, ENode, from_expr, leaf_of, leaf_term, literal,
+)
+from caviar.expr import BoolConst, IntConst, Var, parse_infix, parse_sexpr
 from caviar.rules import default_ruleset
 
 from .helpers import (
     VAR_NAMES, OracleEGraph, assert_canonical_storage, brute_force_congruence,
-    leaf, oracle_index, random_congruence_graph, random_expr, saturate,
+    dump, leaf, oracle_index, random_congruence_graph, random_expr, saturate,
 )
 
 
@@ -98,6 +99,88 @@ def test_contradiction_raises():
         g.union(one, two)
 
 
+def test_leaf_data():
+    # a literal's class holds its value as its datum, a variable's none
+    g = EGraph()
+    assert g.class_data(g.add(literal(7))) == 7
+    assert g.class_data(g.add(literal(True))) is True
+    assert g.class_data(g.add(leaf("var", "x"))) is None
+
+
+def test_folding_follows_the_operator_table():
+    for src, value in [("(+ 2 3)", 5), ("(* -4 5)", -20), ("(/ 7 2)", 3),
+                       ("(/ 7 0)", 0), ("(% -7 2)", 1), ("(< 1 2)", True),
+                       ("(&& true false)", False), ("(neg 3)", -3), ("(! false)", True)]:
+        g, root = from_expr(parse_sexpr(src))
+        data = g.class_data(root)
+        assert data == value and type(data) is type(value), src
+        assert g.has_literal(root, value), src
+
+
+def test_unknown_child_blocks_folding():
+    for src in ["(+ 2 x)", "(min x y)", "(< x (+ 1 2))"]:
+        g, root = from_expr(parse_sexpr(src))
+        assert g.class_data(root) is None, src
+
+
+def test_data_propagate_and_agreeing_folds_pass():
+    # a union gives the kept class the other's datum, whichever holds it
+    for first, second in [(leaf("var", "x"), literal(5)), (literal(5), leaf("var", "x"))]:
+        g = EGraph()
+        assert g.class_data(g.union(g.add(first), g.add(second))) == 5
+    # a fold that agrees with the datum its class holds already is no
+    # contradiction, for an int and for a bool
+    for src, x, y, value in [("(+ x y)", 1, 1, 2), ("(< x y)", 1, 2, True)]:
+        g, root = from_expr(parse_sexpr(src))
+        g.union(root, g.add(literal(value)))
+        g.union(g.add(leaf("var", "x")), g.add(literal(x)))
+        g.union(g.add(leaf("var", "y")), g.add(literal(y)))
+        g.rebuild()
+        data = g.class_data(root)
+        assert data == value and type(data) is type(value), src
+
+
+def test_contradiction_names_where_it_arose():
+    for a, b in [(1, 2), (True, False)]:
+        g = EGraph()
+        one, two = g.add(literal(a)), g.add(literal(b))
+        with pytest.raises(ConstantContradiction) as exc:
+            g.union(one, two)
+        assert str(exc.value) == f"constant contradiction: {a!r} vs {b!r} (union of classes 0 and 1)"
+    # classes x 0, y 1, x + y 2; 2 holds 5, then x and y both hold 1
+    g, root = from_expr(parse_sexpr("(+ x y)"))
+    g.union(root, g.add(literal(5)))
+    g.union(g.add(leaf("var", "x")), g.add(literal(1)))
+    g.union(g.add(leaf("var", "y")), g.add(literal(1)))
+    with pytest.raises(ConstantContradiction) as exc:
+        g.rebuild()
+    assert str(exc.value) == "constant contradiction: 5 vs 2 (folding into class 2)"
+    assert exc.value.values == (5, 2)
+
+
+def test_union_distinguishes_bool_from_int():
+    # 1 == True and 0 == False in Python, but they are different constants
+    for a, b in [(1, True), (0, False)]:
+        g = EGraph()
+        one, t = g.add(literal(a)), g.add(literal(b))
+        with pytest.raises(ConstantContradiction) as exc:
+            g.union(one, t)
+        assert str(exc.value) == f"constant contradiction: {a} vs {b} (union of classes 0 and 1)"
+
+
+def test_contradiction_message_bounds_long_integers():
+    # past the int/str digit limit `repr` raises; the message gives the
+    # digit count, exact also next to a power of ten
+    big = 10 ** 4400
+    g = EGraph()
+    a, b = g.add(literal(big - 1)), g.add(literal(-big))
+    with pytest.raises(ConstantContradiction) as exc:
+        g.union(a, b)
+    assert str(exc.value) == ("constant contradiction: <4400-digit integer> vs "
+                              "<-4401-digit integer> (union of classes 0 and 1)")
+    assert exc.value.values == (big - 1, -big)
+
+
 def test_from_expr_shares_subterms():
     g, root = from_expr(parse_infix("(x + 1) * (x + 1)"))
     # x, 1, x+1, and the product
@@ -108,7 +191,7 @@ def test_dump_is_deterministic():
     e = parse_infix("min(x, y) + max(x, 2)")
     g1, _ = from_expr(e)
     g2, _ = from_expr(e)
-    assert g1.dump() == g2.dump()
+    assert dump(g1) == dump(g2)
 
 
 def test_rebuild_matches_brute_force_congruence():
@@ -154,7 +237,7 @@ def _root(uf, a):
 
 
 def _state(g):
-    return (g.dump(), list(g._uf),
+    return (dump(g), list(g._uf),
             {n: _root(g._uf, v) for n, v in g.hashcons.items()},
             [(cid, list(cls.nodes), list(cls.parents), cls.data)
              for cid, cls in g.classes.items()])

@@ -12,7 +12,7 @@ from caviar.matching import apply_rule
 from caviar.rules import default_ruleset, parse_rules
 
 from .helpers import (
-    exprs_agree, leaf, oracle_extract_best, random_bool_expr, random_congruence_graph,
+    dump, exprs_agree, leaf, oracle_extract_best, random_bool_expr, random_congruence_graph,
     random_expr, random_int_expr, saturate,
 )
 
@@ -135,7 +135,7 @@ def test_extract_graph_equals_rebuilding_from_the_term():
             for cm in (AST_SIZE, AST_DEPTH):
                 copy, copy_root = extract_graph(g, root, cm)
                 ref, ref_root = from_expr(extract_best(g, root, cm)[0])
-                assert (copy.dump(), copy_root, copy._uf) == (ref.dump(), ref_root, ref._uf), \
+                assert (dump(copy), copy_root, copy._uf) == (dump(ref), ref_root, ref._uf), \
                     (i, root, cm)
                 checked += 1
     assert checked > 1000
@@ -179,7 +179,7 @@ def test_literal_root_skips_relaxation_with_the_same_pick():
             assert extract_best(g, root, cm) == (term, 1)
             copy, copy_root = extract_graph(g, root, cm)
             ref, ref_root = from_expr(term)
-            assert (copy.dump(), copy_root, copy._uf) == (ref.dump(), ref_root, ref._uf)
+            assert (dump(copy), copy_root, copy._uf) == (dump(ref), ref_root, ref._uf)
     # among variables, the least name
     h = EGraph()
     h.union(h.add(leaf("var", "y")), h.add(leaf("var", "x")))

@@ -104,6 +104,38 @@ def test_parallel_preserves_order_and_results():
     assert [r.__dict__ for r in par] == [r.__dict__ for r in seq]
 
 
+def test_pool_has_no_more_workers_than_rows(monkeypatch):
+    import concurrent.futures
+    sizes = []
+
+    class RecordingPool:
+        """Records the workers asked for; runs the rows in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    seq = run_dataset(DATASET, RULES, NPPD, det_cfg())
+    # four rows: four workers at most, whatever `jobs` asks for
+    assert run_dataset(DATASET, RULES, NPPD, det_cfg(), jobs=5000) == seq
+    assert run_dataset(DATASET, RULES, NPPD, det_cfg(), jobs=2) == seq
+    # one row, or none, runs in this process without a pool
+    assert [r.outcome for r in run_dataset("x <= x\n", RULES, NPPD, det_cfg(), jobs=3)] == \
+        ["proved_true"]
+    assert run_dataset("# no rows\n", RULES, NPPD, det_cfg(), jobs=4) == []
+    assert sizes == [4, 2]
+
+
 def test_too_deep_row_is_an_error_row():
     # parses, but the engine's recursive term walks exceed Python's stack
     deep = " + ".join(["x"] * 1200) + " <= 0"

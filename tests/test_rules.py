@@ -8,13 +8,9 @@ import pytest
 
 from caviar.expr import ParseError, SortError, evaluate, parse_infix
 from caviar.matching import eval_condition_ground, eval_pattern_ground
-from caviar.rules import (
-    DEFAULT_NPPD_TEXT, DEFAULT_RULES_TEXT, NPPattern, Ruleset,
-    default_nppd_patterns, default_ruleset, nppd_to_line, parse_nppd,
-    parse_rules, rule_to_line,
-)
+from caviar.rules import default_nppd_patterns, default_ruleset, parse_nppd, parse_rules
 
-from .helpers import VALUE_POOL
+from .helpers import VALUE_POOL, nppd_to_line, serialize
 
 
 def test_parse_rule_basic():
@@ -58,7 +54,7 @@ def test_parse_rule_errors():
 
 def test_rule_round_trip():
     rs = default_ruleset()
-    text = rs.serialize()
+    text = serialize(rs)
     rs2 = parse_rules(text)
     assert [r.name for r in rs2.rules] == [r.name for r in rs.rules]
     assert [(r.lhs, r.rhs, r.cond) for r in rs2.rules] == \
@@ -79,7 +75,7 @@ DEFAULT_NPPD_SHA256 = "12a1619667bebddfb5335eec7ab292857209018c10b2c1c60074f84cb
 
 
 def test_default_serialization_pinned():
-    text = default_ruleset().serialize()
+    text = serialize(default_ruleset())
     assert len(default_ruleset()) == 137
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_RULES_SHA256
     text = "\n".join(nppd_to_line(p) for p in default_nppd_patterns())
