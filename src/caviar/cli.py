@@ -11,7 +11,7 @@ import sys
 
 from .egraph import ConstantContradiction
 from .engine import EngineConfig, prove_pulsed, simplify
-from .expr import BoolConst, ParseError, SortError, parse_infix, print_infix
+from .expr import ParseError, SortError, parse_infix, print_infix
 from .extraction import AST_DEPTH, AST_SIZE
 from .harness import emit_report, prove_line, run_dataset, summarize
 from .rules import default_nppd_patterns, default_ruleset, load_nppd, load_rules
@@ -33,26 +33,20 @@ def _config_name(cfg: EngineConfig) -> str:
     return "custom"
 
 
-def _parse_goals(text: str) -> list[BoolConst]:
-    goals = []
-    for part in text.split(","):
-        part = part.strip().lower()
-        if part == "true":
-            goals.append(BoolConst(True))
-        elif part == "false":
-            goals.append(BoolConst(False))
-        else:
-            raise ValueError(f"goal must be true or false, got {part!r}")
-    return goals
+# --iter-limit and --node-limit under --deterministic, unless given; without
+# it, an unset limit takes EngineConfig's default
+_DETERMINISTIC_LIMITS = {"iter_limit": 25, "node_limit": 10_000}
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--timeout", type=float, default=3.0,
-                   help="total wall-clock budget in seconds (default 3.0)")
+    p.add_argument("--timeout", type=float, default=EngineConfig.time_limit,
+                   help="total wall-clock budget in seconds (default %(default)s)")
     p.add_argument("--iter-limit", type=int, default=None,
-                   help="iteration cap (default 10000; 25 when --deterministic)")
+                   help=f"iteration cap (default {EngineConfig.iter_limit}; "
+                        f"{_DETERMINISTIC_LIMITS['iter_limit']} when --deterministic)")
     p.add_argument("--node-limit", type=int, default=None,
-                   help="e-node cap (default 1000000; 10000 when --deterministic)")
+                   help=f"e-node cap (default {EngineConfig.node_limit}; "
+                        f"{_DETERMINISTIC_LIMITS['node_limit']} when --deterministic)")
     p.add_argument("--rules", default=None, metavar="FILE",
                    help="rewrite rule file (default: built-in ruleset)")
     p.add_argument("--deterministic", action="store_true",
@@ -62,24 +56,19 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args, proving: bool) -> EngineConfig:
-    iter_limit = args.iter_limit
-    node_limit = args.node_limit
-    if args.deterministic:
-        iter_limit = 25 if iter_limit is None else iter_limit
-        node_limit = 10_000 if node_limit is None else node_limit
-    else:
-        iter_limit = 10_000 if iter_limit is None else iter_limit
-        node_limit = 1_000_000 if node_limit is None else node_limit
+    common = dict(_DETERMINISTIC_LIMITS) if args.deterministic else {}
+    for name in ("iter_limit", "node_limit"):
+        if getattr(args, name) is not None:
+            common[name] = getattr(args, name)
     # built in one call, so EngineConfig validates the final values
-    common = dict(time_limit=args.timeout, iter_limit=iter_limit,
-                  node_limit=node_limit, deterministic=args.deterministic)
+    common.update(time_limit=args.timeout, deterministic=args.deterministic)
     if not proving:
         return EngineConfig(**common, ilc_enabled=False, nppd_enabled=False,
                             pulse_threshold=None)
     return EngineConfig(
         **common, ilc_enabled=not args.no_ilc, nppd_enabled=not args.no_nppd,
         pulse_threshold=None if args.no_pulse else min(args.pulse, args.timeout),
-        pulse_iters=args.pulse_iters, goals=_parse_goals(args.goals))
+        pulse_iters=args.pulse_iters)
 
 
 def _load_rules(args):
@@ -101,21 +90,18 @@ def _make_parser() -> argparse.ArgumentParser:
     src.add_argument("--input", metavar="FILE",
                      help="dataset file, one expression per line")
     _add_engine_flags(p)
-    p.add_argument("--pulse", type=float, default=0.05,
-                   help="pulse threshold in seconds (default 0.05)")
+    p.add_argument("--pulse", type=float, default=EngineConfig.pulse_threshold,
+                   help="pulse threshold in seconds (default %(default)s)")
     p.add_argument("--no-pulse", action="store_true", help="disable pulsing")
-    p.add_argument("--pulse-iters", type=int, default=5,
+    p.add_argument("--pulse-iters", type=int, default=EngineConfig.pulse_iters,
                    help="pulse period in iterations under --deterministic "
-                        "(default 5)")
+                        "(default %(default)s)")
     p.add_argument("--no-ilc", action="store_true",
                    help="disable iteration-level goal checks")
     p.add_argument("--no-nppd", action="store_true",
                    help="disable non-provable pattern detection")
     p.add_argument("--nppd-file", default=None, metavar="FILE",
                    help="non-provable pattern file (default: built-in patterns)")
-    p.add_argument("--goals", default="false,true",
-                   help="comma-separated goal literals, checked in order "
-                        "(default: false,true)")
     p.add_argument("--report", default=None, metavar="FILE",
                    help="write the report here instead of stdout")
     p.add_argument("--format", choices=["csv", "json"], default="csv")

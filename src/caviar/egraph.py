@@ -311,10 +311,6 @@ class EGraph:
     def class_data(self, cid: EClassId):
         return self.classes[self.find(cid)].data
 
-    def has_literal(self, cid: EClassId, value) -> bool:
-        home = self.hashcons.get(literal(value))
-        return home is not None and self.find(home) == self.find(cid)
-
     def has_var(self, cid: EClassId) -> bool:
         """Whether the class stores a variable leaf; valid after rebuild."""
         return any(n.op == LEAF_VAR for n in self.classes[self.find(cid)].nodes)

@@ -8,7 +8,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .egraph import EClassId, EGraph, from_expr
-from .expr import BOOL, BoolConst, Expr, SortError, sort_of
+from .expr import BOOL, Expr, SortError, sort_of
 from .extraction import AST_SIZE, extract_best, extract_graph
 from .matching import NPPattern, _no_tick, apply_matches, gather_matches
 
@@ -36,7 +36,7 @@ class _AbortRun(Exception):
 @dataclass(frozen=True)
 class StopReason:
     kind: str
-    detail: object = None  # goal index / pattern id
+    detail: object = None  # goal index (0 false, 1 true) / pattern id
 
     def __str__(self):
         if self.detail is None:
@@ -52,7 +52,6 @@ class EngineConfig:
     ilc_enabled: bool = True
     nppd_enabled: bool = True
     pulse_threshold: float | None = 0.05  # seconds; None disables pulsing
-    goals: list[Expr] = field(default_factory=lambda: [BoolConst(False), BoolConst(True)])
     # deterministic mode runs on the iteration clock: iter_limit bounds the
     # run and pulse_iters is the pulse period
     deterministic: bool = False
@@ -74,9 +73,6 @@ class EngineConfig:
                 raise ValueError("pulse_threshold must not exceed time_limit")
         if self.pulse_iters < 1:
             raise ValueError("pulse_iters must be positive")
-        for gexpr in self.goals:
-            if not isinstance(gexpr, BoolConst):
-                raise ValueError("goals must be ground boolean literals")
 
 
 @dataclass
@@ -109,12 +105,12 @@ class ProveResult:
     report: RunReport
 
 
-def goals_check(g: EGraph, root: EClassId, goals: list[Expr]) -> int | None:
-    """Index of the first goal literal that is a member of the root class."""
-    for i, goal in enumerate(goals):
-        if g.has_literal(root, goal.value):
-            return i
-    return None
+def goals_check(g: EGraph, root: EClassId) -> int | None:
+    """The goal the root class holds, as its index in (false, true), or None.
+    Constant folding stores the literal `true` or `false` in a class exactly
+    when that is the class's datum, and never both."""
+    data = g.class_data(root)
+    return int(data) if isinstance(data, bool) else None
 
 
 def nppd_check(g: EGraph, root: EClassId, patterns: list[NPPattern]) -> str | None:
@@ -173,7 +169,7 @@ def run_saturation(g: EGraph, root: EClassId, rules, cfg: EngineConfig,
 
     def checks() -> StopReason | None:
         if cfg.ilc_enabled:
-            gi = goals_check(g, root, cfg.goals)
+            gi = goals_check(g, root)
             if gi is not None:
                 return StopReason(GOAL_FOUND, gi)
         if cfg.nppd_enabled:
@@ -240,7 +236,7 @@ def _saturate(expr: Expr, rules, patterns: list[NPPattern] | None,
             return g, root, stop
         # pulse boundary: restart from the e-nodes of the best expression
         # found so far
-        g, root = extract_graph(g, root, AST_SIZE)
+        g, root = extract_graph(g, root)
         clock.pulses += 1
 
 
@@ -268,11 +264,11 @@ def prove_pulsed(expr: Expr, rules, patterns: list[NPPattern] | None = None,
     clock, report = _Clock(cfg), RunReport()
     g, root, stop = _saturate(expr, rules, patterns, cfg, clock, report)
     # final goal check regardless of the stop reason
-    gi = goals_check(g, root, cfg.goals)
+    gi = goals_check(g, root)
     if gi is not None and stop.kind != NON_PROVABLE_DETECTED:
         stop = StopReason(GOAL_FOUND, gi)
     if stop.kind == GOAL_FOUND:
-        outcome, value, pid = PROVED, cfg.goals[stop.detail].value, None
+        outcome, value, pid = PROVED, stop.detail == 1, None
     elif stop.kind == NON_PROVABLE_DETECTED:
         outcome, value, pid = NON_PROVABLE, None, stop.detail
     else:

@@ -101,14 +101,13 @@ def extract_best(g: EGraph, root: EClassId, cost_model: str = AST_SIZE) -> tuple
     return build(root), cost[root]
 
 
-def extract_graph(g: EGraph, root: EClassId,
-                  cost_model: str = AST_SIZE) -> tuple[EGraph, EClassId]:
-    """`from_expr(extract_best(g, root, cost_model)[0])` without the term:
-    the root's picked e-nodes go into a fresh graph in post-order, left to
-    right, each class once. `from_expr` adds the same e-nodes in the same
-    order, since a second visit of a shared subterm only hits the
+def extract_graph(g: EGraph, root: EClassId) -> tuple[EGraph, EClassId]:
+    """`from_expr(extract_best(g, root)[0])` without the term: the root's
+    picked e-nodes of least AST size go into a fresh graph in post-order,
+    left to right, each class once. `from_expr` adds the same e-nodes in the
+    same order, since a second visit of a shared subterm only hits the
     hashcons."""
-    root, _, pick = _picks(g, root, cost_model)
+    root, _, pick = _picks(g, root, AST_SIZE)
     out = EGraph()
     copied: dict[EClassId, EClassId] = {}
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
-from caviar.egraph import ConstantContradiction, EClass, EGraph, ENode, enode, leaf_term
+from caviar.egraph import (
+    ConstantContradiction, EClass, EGraph, ENode, enode, leaf_term, literal,
+)
 from caviar.extraction import AST_DEPTH, _node_key
 from caviar.expr import (
     BOOL, INT, OPERATORS, Binary, BoolConst, Expr, IntConst, ParseError, Unary,
@@ -314,6 +316,13 @@ def assert_canonical_storage(g: EGraph) -> None:
 # against. It re-canonicalizes every class it reads, so it does not rely on
 # the rebuild invariant.
 
+def has_literal(g: EGraph, cid: int, value) -> bool:
+    """Whether the class of `cid` stores the literal e-node of `value`, read
+    through the hashcons."""
+    home = g.hashcons.get(literal(value))
+    return home is not None and g.find(home) == g.find(cid)
+
+
 def oracle_nodes(g: EGraph, cid: int) -> list[ENode]:
     dedup: dict[ENode, None] = {}
     for n in g.classes[g.find(cid)].nodes:
@@ -341,7 +350,7 @@ def oracle_match_node(g: EGraph, p, cid: int, subst: dict):
                 return
         return
     if isinstance(p, (IntConst, BoolConst)):
-        if g.has_literal(cid, p.value):
+        if has_literal(g, cid, p.value):
             yield subst
         return
     if isinstance(p, Unary):

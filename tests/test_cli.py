@@ -9,6 +9,7 @@ import pytest
 
 from caviar.cli import main
 from caviar.corpusgen import CORPUS_NAMES, corpus_text
+from caviar.engine import EngineConfig
 from caviar.harness import read_dataset
 
 
@@ -162,18 +163,21 @@ def test_config_banner_variants(capsys):
     assert "config: nppd-only" in err
 
 
-def test_goals_flag(capsys):
-    code, out, _ = run_cli(capsys, "prove", "--expr", "x < x",
-                           "--deterministic", "--goals", "true")
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[1][2] == "unknown"
-
-
-def test_empty_goals_are_a_usage_error(capsys):
-    code, _, err = run_cli(capsys, "prove", "--expr", "x < x", "--goals", "")
-    assert code == 2
-    assert "error: goal must be true or false, got ''" in err
+@pytest.mark.parametrize("command", ["prove", "simplify"])
+def test_help_shows_the_engine_defaults(capsys, command):
+    # argparse formats a help string only when it prints it, so a bad `%`
+    # fails here and nowhere else
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    defaults = EngineConfig()
+    assert f"seconds (default {defaults.time_limit})" in text
+    assert f"iteration cap (default {defaults.iter_limit}; 25 when" in text
+    assert f"e-node cap (default {defaults.node_limit}; 10000 when" in text
+    if command == "prove":
+        assert f"pulse threshold in seconds (default {defaults.pulse_threshold})" in text
+        assert f"--deterministic (default {defaults.pulse_iters})" in text
 
 
 def test_custom_rules_file(tmp_path, capsys):
@@ -281,9 +285,14 @@ DETERMINISTIC_REPORT_SHA256 = {
         "3483f3f0f23623cac694a3752ed1827360cfaecb69ddb49988f4592a92d69dde",
 }
 _VANILLA_FLAGS = ("--no-pulse", "--no-ilc", "--no-nppd", "--iter-limit", "3")
-# sha256 of the `prove --deterministic --format json` report of all of
-# nearmiss.txt, recorded before `Summary.as_dict` was built from its fields
-NEARMISS_JSON_SHA256 = "2eccbc725ffe27c6f54d37e0a786f52703c2c967e65dd4251a000628a8e4014d"
+# sha256 of the `prove --deterministic --format json` report of each whole
+# shipped corpus: a change to any row's search, verdict or report shows here
+JSON_REPORT_SHA256 = {
+    "provable.txt": "7de779ef4aee94fdc4258fcd13fbe1feda9e2f22418d1cc7bb7936b5b89cee67",
+    "nonprovable.txt": "99f45ae4ad832476b8e3c60874b491803f0f6f757f6096c3083f51a1fc2addfb",
+    "nearmiss.txt": "2eccbc725ffe27c6f54d37e0a786f52703c2c967e65dd4251a000628a8e4014d",
+    "blowup.txt": "0f04a5a8b4d23562c2145685781511803d621dadcad7883ed1b240f2bd1a7161",
+}
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -300,10 +309,11 @@ def test_deterministic_report_pinned(tmp_path, capsys, name, flags):
     assert digest == DETERMINISTIC_REPORT_SHA256[name, flags]
 
 
-def test_json_report_pinned(tmp_path, capsys):
-    path = tmp_path / "nearmiss.txt"
-    path.write_text(corpus_text("nearmiss.txt"), encoding="utf-8")
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_json_report_pinned(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_text(corpus_text(name), encoding="utf-8")
     code, out, _ = run_cli(capsys, "prove", "--input", str(path),
                            "--deterministic", "--format", "json")
     assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == NEARMISS_JSON_SHA256
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == JSON_REPORT_SHA256[name]

@@ -1,18 +1,22 @@
 """E-graph invariants: hashconsing, union-find, rebuild, constant data."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from caviar.egraph import (
     ConstantContradiction, EGraph, ENode, from_expr, leaf_of, leaf_term, literal,
 )
+from caviar.corpusgen import corpus_text
 from caviar.expr import BoolConst, IntConst, Var, parse_infix, parse_sexpr
+from caviar.harness import read_dataset
 from caviar.rules import default_ruleset
 
 from .helpers import (
     VAR_NAMES, OracleEGraph, assert_canonical_storage, brute_force_congruence,
-    dump, leaf, oracle_index, random_congruence_graph, random_expr, saturate,
+    dump, has_literal, leaf, oracle_index, random_congruence_graph, random_expr,
+    saturate,
 )
 
 
@@ -68,7 +72,7 @@ def test_constant_folding_on_add():
     three = g.add(leaf("int", 3))
     s = g.add(ENode("+", None, (two, three)))
     assert g.class_data(s) == 5
-    assert g.has_literal(s, 5)
+    assert has_literal(g, s, 5)
 
 
 def test_constant_propagates_after_union():
@@ -78,17 +82,17 @@ def test_constant_propagates_after_union():
     g.union(gx, two)
     g.rebuild()
     assert g.class_data(root) == 5
-    assert g.has_literal(root, 5)
+    assert has_literal(g, root, 5)
 
 
 def test_has_literal_distinguishes_bool_from_int():
     g = EGraph()
     one = g.add(leaf("int", 1))
     t = g.add(leaf("bool", True))
-    assert g.has_literal(one, 1)
-    assert not g.has_literal(one, True)
-    assert g.has_literal(t, True)
-    assert not g.has_literal(t, 1)
+    assert has_literal(g, one, 1)
+    assert not has_literal(g, one, True)
+    assert has_literal(g, t, True)
+    assert not has_literal(g, t, 1)
 
 
 def test_contradiction_raises():
@@ -114,7 +118,7 @@ def test_folding_follows_the_operator_table():
         g, root = from_expr(parse_sexpr(src))
         data = g.class_data(root)
         assert data == value and type(data) is type(value), src
-        assert g.has_literal(root, value), src
+        assert has_literal(g, root, value), src
 
 
 def test_unknown_child_blocks_folding():
@@ -308,38 +312,61 @@ def test_incremental_repair_agrees_with_full_repair_oracle():
 class IndexCheckedEGraph(EGraph):
     """Checks the operator index and the shape that the graph caches per
     version against the ones recomputed over every class, after every
-    rebuild: a write that does not bump the version leaves the cache stale."""
+    rebuild: a write that does not bump the version leaves the cache stale.
+    Checks too that a class's datum and its literal e-nodes agree both ways,
+    which the goal check relies on when it reads the root's datum alone."""
 
     def __init__(self):
         super().__init__()
         self.checked = 0
+        self.data_checked = Counter()  # classes with a datum, by its type
 
     def rebuild(self):
         super().rebuild()
         by_op, shape = oracle_index(self)
         assert self.classes_by_op() == by_op
         assert self.shape() == shape
+        for cid, cls in self.classes.items():
+            if cls.data is not None:
+                # the hashcons entry of the datum's literal finds the class
+                assert has_literal(self, cid, cls.data), (cid, cls.data)
+                self.data_checked[type(cls.data)] += 1
+            for n in cls.nodes:
+                if n.op in ("int", "bool"):
+                    # a stored literal is the datum, with bool and int apart
+                    assert n == literal(cls.data), (cid, n, cls.data)
         self.checked += 1
 
 
 def test_cached_index_agrees_with_recomputed_index():
     # the constant scripts union, add over ids that are not roots and
-    # materialize literals; saturation adds and unions at scale
-    checked = grew = 0
+    # materialize literals; saturation adds and unions at scale, and on
+    # provable rows a rule's rhs brings in the goal literal
+    graphs = []
     for seed in range(300):
         g = IndexCheckedEGraph()
         _run_constant_script(g, random.Random(seed))
-        checked += g.checked
+        graphs.append(g)
     rules = default_ruleset().rules
+    grew = 0
     for seed in range(16):
         g = IndexCheckedEGraph()
         g.add_expr(random_expr(random.Random(seed), 4))
         g.rebuild()
         before = len(g.shape())
         saturate(g, rules, 3)
-        checked += g.checked
+        graphs.append(g)
         grew += len(g.shape()) > before
+    for _, src in read_dataset(corpus_text("provable.txt"))[:16]:
+        g = IndexCheckedEGraph()
+        g.add_expr(parse_infix(src))
+        g.rebuild()
+        saturate(g, rules, 3)
+        graphs.append(g)
+    checked = sum(g.checked for g in graphs)
+    data_checked = sum((g.data_checked for g in graphs), Counter())
     assert checked >= 600 and grew >= 12, (checked, grew)
+    assert data_checked[int] >= 3000 and data_checked[bool] >= 60, data_checked
 
 
 def test_leaf_encoding_round_trips():

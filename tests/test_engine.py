@@ -12,7 +12,7 @@ from caviar.engine import (
     SATURATED, TIME_LIMIT, max_pulses, prove, prove_pulsed, simplify,
 )
 from caviar.corpusgen import corpus_text
-from caviar.expr import BoolConst, SortError, parse_infix, print_infix
+from caviar.expr import SortError, parse_infix, print_infix
 from caviar.harness import read_dataset
 from caviar.rules import default_nppd_patterns, default_ruleset, parse_rules
 
@@ -45,16 +45,8 @@ def test_prove_trivial_true_false():
 
 def test_prove_goal_order_reported():
     r = prove(parse_infix("x != x"), RULES, NPPD)
-    assert r.stop == type(r.stop)(GOAL_FOUND, 0)  # goals default [false, true]
+    assert r.stop == type(r.stop)(GOAL_FOUND, 0)  # goals are (false, true)
     assert r.value is False
-
-
-def test_custom_goals():
-    c = cfg(goals=[BoolConst(True)])
-    r = prove(parse_infix("x < x"), RULES, NPPD, c)
-    # only true is a goal, so a false result is not found by ILC;
-    # the expression still folds and the run saturates or times out
-    assert r.outcome == "unknown"
 
 
 def test_nppd_stops_at_iteration_zero():
@@ -218,8 +210,6 @@ def test_config_validation():
         EngineConfig(time_limit=0)
     with pytest.raises(ValueError):
         EngineConfig(time_limit=1.0, pulse_threshold=2.0)
-    with pytest.raises(ValueError):
-        EngineConfig(goals=[parse_infix("x < 1")])
     with pytest.raises(ValueError):
         EngineConfig(pulse_iters=0)
     for pulse in (0, 0.0, -1.0, math.nan, math.inf):

@@ -20,8 +20,8 @@ from caviar.matching import (
 from caviar.rules import default_nppd_patterns, default_ruleset, parse_nppd, parse_rules
 
 from .helpers import (
-    assert_canonical_storage, dump, ematch, leaf, oracle_apply, oracle_ematch,
-    random_bool_expr, saturate,
+    assert_canonical_storage, dump, ematch, has_literal, leaf, oracle_apply,
+    oracle_ematch, random_bool_expr, saturate,
 )
 
 
@@ -129,7 +129,7 @@ def test_conditional_rule_respects_condition():
     assert apply_rule(g1, r) == 0  # x is not a known nonzero constant
     g2, root2 = from_expr(parse_infix("3 / 3"))
     # folded already by the analysis, so the rule match is redundant
-    assert g2.has_literal(root2, 1)
+    assert has_literal(g2, root2, 1)
 
 
 def test_instantiate_reuses_classes():
