@@ -136,7 +136,7 @@ def _cmd_prove(args) -> int:
         rows = [row]
     else:
         try:
-            with open(args.input, encoding="utf-8") as fh:
+            with open(args.input, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)

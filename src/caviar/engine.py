@@ -1,5 +1,5 @@
 """Equality-saturation driver: limits, goal checks, non-provable pattern
-detection, and the pulsed outer loop."""
+detection and pulsing, in one loop."""
 
 from __future__ import annotations
 
@@ -145,18 +145,20 @@ class _Clock:
         self.limit = self.now() + self.budget
 
 
-def run_saturation(g: EGraph, root: EClassId, rules, cfg: EngineConfig,
-                   clock: _Clock, report: RunReport,
-                   patterns: list[NPPattern] | None,
-                   deadline: float) -> StopReason:
-    """Saturation loop with iteration-level goal and non-provable checks.
+def _saturate(expr: Expr, rules, patterns: list[NPPattern] | None,
+              cfg: EngineConfig, clock: _Clock,
+              report: RunReport) -> tuple[EGraph, EClassId, StopReason]:
+    """The one saturation loop, shared by every entry point: iterate with
+    goal and non-provable checks, restart from the smallest form found so far
+    when the pulse period runs out, and stop at a definite result or at the
+    end of the clock's budget. On the iteration clock the mid-iteration ticks
+    never fire, because the count only moves between iterations."""
+    g, root = from_expr(expr)
 
-    Stops with kind `clock.stop_kind` once `clock.now()` reaches `deadline`;
-    the caller tells a pulse boundary from the end of the budget. On the
-    iteration clock the mid-iteration ticks never fire, because the count
-    only moves between iterations.
-    """
-    patterns = patterns or []
+    def pulse_end() -> float:
+        if clock.pulse is None:
+            return clock.limit
+        return min(clock.limit, clock.now() + clock.pulse)
 
     def match_tick():
         if clock.now() >= deadline:
@@ -172,19 +174,28 @@ def run_saturation(g: EGraph, root: EClassId, rules, cfg: EngineConfig,
             gi = goals_check(g, root)
             if gi is not None:
                 return StopReason(GOAL_FOUND, gi)
-        if cfg.nppd_enabled:
+        if cfg.nppd_enabled and patterns:
             pid = nppd_check(g, root, patterns)
             if pid is not None:
                 return StopReason(NON_PROVABLE_DETECTED, pid)
         return None
 
+    deadline = pulse_end()
     # iteration-0 checks (Var/const roots and direct pattern hits stop here)
     stop = checks()
     while stop is None:
         if clock.iterations >= cfg.iter_limit:
-            return StopReason(ITER_LIMIT)
+            return g, root, StopReason(ITER_LIMIT)
         if clock.now() >= deadline:
-            return StopReason(clock.stop_kind)
+            if clock.now() >= clock.limit:
+                return g, root, StopReason(clock.stop_kind)
+            # pulse boundary: restart from the e-nodes of the best expression
+            # found so far, and check the restarted graph before rewriting it
+            g, root = extract_graph(g, root)
+            clock.pulses += 1
+            deadline = pulse_end()
+            stop = checks()
+            continue
 
         version_before = g.version
         # a rule whose lhs has an operator or a parent-child operator pair
@@ -196,10 +207,13 @@ def run_saturation(g: EGraph, root: EClassId, rules, cfg: EngineConfig,
             unions = sum(apply_matches(g, rule, ms, tick=apply_tick)
                          for rule, ms in zip(active, all_matches) if ms)
         except _AbortRun as abort:
-            # the iteration is abandoned mid-flight; restore invariants so
-            # the final goal check and extraction still work
+            # the iteration is abandoned mid-flight and not counted; restore
+            # invariants so the checks, a restart and extraction still work
             g.rebuild()
-            return abort.stop
+            root = g.find(root)
+            if abort.stop.kind == NODE_LIMIT:
+                return g, root, abort.stop
+            continue
         g.rebuild()
         root = g.find(root)
 
@@ -215,29 +229,7 @@ def run_saturation(g: EGraph, root: EClassId, rules, cfg: EngineConfig,
             stop = StopReason(SATURATED)
         if stop is None and n_enodes >= cfg.node_limit:
             stop = StopReason(NODE_LIMIT)
-    return stop
-
-
-def _saturate(expr: Expr, rules, patterns: list[NPPattern] | None,
-              cfg: EngineConfig, clock: _Clock,
-              report: RunReport) -> tuple[EGraph, EClassId, StopReason]:
-    """The pulsed loop shared by every entry point: saturate until the pulse
-    period runs out, restart from the smallest form found so far, and stop
-    at a definite result or at the end of the clock's budget."""
-    g, root = from_expr(expr)
-    while True:
-        deadline = clock.limit
-        if clock.pulse is not None:
-            deadline = min(deadline, clock.now() + clock.pulse)
-        stop = run_saturation(g, root, rules, cfg, clock, report, patterns,
-                              deadline)
-        root = g.find(root)
-        if stop.kind != clock.stop_kind or clock.now() >= clock.limit:
-            return g, root, stop
-        # pulse boundary: restart from the e-nodes of the best expression
-        # found so far
-        g, root = extract_graph(g, root)
-        clock.pulses += 1
+    return g, root, stop
 
 
 def prove(expr: Expr, rules, patterns: list[NPPattern] | None = None,

@@ -159,12 +159,12 @@ def parse_nppd(text: str) -> list[NPPattern]:
 
 
 def load_rules(path) -> Ruleset:
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         return parse_rules(f.read(), name=str(path))
 
 
 def load_nppd(path) -> list[NPPattern]:
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         return parse_nppd(f.read())
 
 

@@ -190,6 +190,34 @@ def test_custom_rules_file(tmp_path, capsys):
     assert rows[1][2] == "proved_true"
 
 
+def test_byte_order_mark_dataset(tmp_path, capsys):
+    # editors on Windows may start a UTF-8 file with a byte-order mark; it
+    # is not part of row 1
+    p = tmp_path / "exprs.txt"
+    p.write_text("x <= x\nx < x\n", encoding="utf-8-sig")
+    code, out, _ = run_cli(capsys, "prove", "--input", str(p),
+                           "--deterministic")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [(r[0], r[2]) for r in rows[1:]] == [("1", "proved_true"),
+                                                ("2", "proved_false")]
+
+
+def test_byte_order_mark_rule_files(tmp_path, capsys):
+    rules, nppd = tmp_path / "rules.txt", tmp_path / "nppd.txt"
+    rules.write_text("(rule le-refl (<= ?a ?a) true)\n", encoding="utf-8-sig")
+    nppd.write_text("(nppd var-ne-const (!= ?x ?c) :if (and (const ?c) (nonconst ?x)))\n",
+                    encoding="utf-8-sig")
+    exprs = tmp_path / "exprs.txt"
+    exprs.write_text("x <= x\nx != 5\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "prove", "--input", str(exprs),
+                           "--deterministic", "--rules", str(rules),
+                           "--nppd-file", str(nppd))
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [r[2] for r in rows[1:]] == ["proved_true", "non_provable"]
+
+
 def test_bad_rules_file_exit_code(tmp_path, capsys):
     rules = tmp_path / "rules.txt"
     rules.write_text("(rule broken (+ ?a ?b))\n", encoding="utf-8")

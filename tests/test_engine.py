@@ -3,6 +3,7 @@
 import hashlib
 import math
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -293,3 +294,42 @@ def test_time_limit_overshoot_bounded_on_largest_rows():
         t = time.monotonic()
         prove(parse_infix(src), RULES, [], c, extract=False)
         assert time.monotonic() - t < c.time_limit + 1.5, src
+
+
+def test_wall_clock_pulses_on_a_work_clock(monkeypatch):
+    # the wall-clock path, made deterministic: time moves only when a rule
+    # is searched or applied, 2 ms a call, so pulse boundaries and the time
+    # limit fall inside iterations, some after a rule's unions are applied
+    steps, aborts = [0], {}
+    monkeypatch.setattr(caviar.engine, "time",
+                        SimpleNamespace(monotonic=lambda: steps[0] * 0.002))
+
+    def timed(name):
+        real = getattr(caviar.engine, name)
+
+        def call(*args, **kwargs):
+            steps[0] += 1
+            try:
+                return real(*args, **kwargs)
+            except Exception:
+                aborts[name] = aborts.get(name, 0) + 1
+                raise
+
+        monkeypatch.setattr(caviar.engine, name, call)
+
+    timed("gather_matches")
+    timed("apply_matches")
+    c = cfg(time_limit=1.0, pulse_threshold=0.05, node_limit=20_000)
+    rows = []
+    for name in ("provable.txt", "nonprovable.txt", "nearmiss.txt", "blowup.txt"):
+        for _, src in read_dataset(corpus_text(name)):
+            r = prove_pulsed(parse_infix(src), RULES, NPPD, c, extract=False)
+            rows.append((r.outcome, str(r.stop), r.iterations, r.pulses,
+                         r.classes, r.enodes, len(r.report.iterations),
+                         round(r.elapsed, 6)))
+    assert (len(rows), sum(r[2] for r in rows), sum(r[3] for r in rows),
+            sum(r[1] == TIME_LIMIT for r in rows)) == (168, 298, 1002, 51)
+    assert aborts == {"gather_matches": 239, "apply_matches": 814}
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == \
+        "6001b1151f1612ced3df9a1b675ebfb844a1ead8b1c951660c0c088afb432f5c"
