@@ -205,9 +205,9 @@ class EGraph:
             _agree(kc.data, gc.data, f"union of classes {keep} and {gone}")
         kc.nodes.extend(gc.nodes)
         kc.parents.extend(gc.parents)
-        if kc.data is None and gc.data is not None:
+        if kc.data is None:
+            # gc.nodes brought the datum's literal e-node along
             kc.data = gc.data
-            self._materialize_const(keep)
         self._worklist.append(keep)
         self._stale.add(keep)
         self.version += 1

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 from .egraph import EClassId, EGraph, from_expr
 from .expr import BOOL, Expr, SortError, sort_of
-from .extraction import AST_SIZE, extract_best, extract_graph
+from .extraction import AST_SIZE, extract_best
 from .matching import NPPattern, _no_tick, apply_matches, gather_matches
 
 PROVED = "proved"
@@ -189,9 +189,9 @@ def _saturate(expr: Expr, rules, patterns: list[NPPattern] | None,
         if clock.now() >= deadline:
             if clock.now() >= clock.limit:
                 return g, root, StopReason(clock.stop_kind)
-            # pulse boundary: restart from the e-nodes of the best expression
-            # found so far, and check the restarted graph before rewriting it
-            g, root = extract_graph(g, root)
+            # pulse boundary: restart from the best expression found so far,
+            # and check the restarted graph before rewriting it
+            g, root = from_expr(extract_best(g, root)[0])
             clock.pulses += 1
             deadline = pulse_end()
             stop = checks()

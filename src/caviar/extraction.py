@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .egraph import LEAF_BOOL, LEAF_INT, LEAF_VAR, EClassId, EGraph, ENode, enode, leaf_term
+from .egraph import LEAF_BOOL, LEAF_INT, LEAF_VAR, EClassId, EGraph, ENode, leaf_term
 from .expr import OPERATORS, Binary, Expr, Unary
 
 AST_SIZE = "ast-size"
@@ -57,31 +57,24 @@ def _relax(g: EGraph, depth: bool) -> tuple[dict[EClassId, int], dict[EClassId, 
     return cost, pick
 
 
-def _picks(g: EGraph, root: EClassId, cost_model: str):
-    """The root's canonical id, its class costs and its picked e-nodes, of
-    every class or, when the root stores a leaf, of the root alone: a leaf
-    costs 1 under both models, so no term of the root costs less, and
-    `_relax` picks its least leaf by `_node_key`."""
-    root = g.find(root)
-    leaves = [n for n in g.classes[root].nodes if not n.children]
-    if leaves:
-        return root, {root: 1}, {root: min(leaves, key=_node_key)}
-    cost, pick = _relax(g, cost_model == AST_DEPTH)
-    if root not in cost:
-        raise RuntimeError(f"class {root} has no extractable finite term")
-    return root, cost, pick
-
-
 def extract_best(g: EGraph, root: EClassId, cost_model: str = AST_SIZE) -> tuple[Expr, int]:
     """Minimum-cost representative of a class.
 
     Integer costs are relaxed to their fixed point, and each class picks on
     the way its e-node of least cost, ties broken by operator ordinal, then
     by the children's canonical class ids, so extraction is deterministic
-    for a given graph; a class that stores a leaf needs no relaxation (see
-    `_picks`). Reads the stored e-nodes, so the graph must be rebuilt.
+    for a given graph. A root that stores a leaf needs no relaxation: a
+    leaf costs 1 under both models, so no term of the root costs less, and
+    `_relax` would pick its least leaf by `_node_key`. Reads the stored
+    e-nodes, so the graph must be rebuilt.
     """
-    root, cost, pick = _picks(g, root, cost_model)
+    root = g.find(root)
+    leaves = [n for n in g.classes[root].nodes if not n.children]
+    if leaves:
+        return leaf_term(min(leaves, key=_node_key)), 1
+    cost, pick = _relax(g, cost_model == AST_DEPTH)
+    if root not in cost:
+        raise RuntimeError(f"class {root} has no extractable finite term")
     terms: dict[EClassId, Expr] = {}
 
     def build(cid: EClassId) -> Expr:
@@ -99,30 +92,6 @@ def extract_best(g: EGraph, root: EClassId, cost_model: str = AST_SIZE) -> tuple
         return term
 
     return build(root), cost[root]
-
-
-def extract_graph(g: EGraph, root: EClassId) -> tuple[EGraph, EClassId]:
-    """`from_expr(extract_best(g, root)[0])` without the term: the root's
-    picked e-nodes of least AST size go into a fresh graph in post-order,
-    left to right, each class once. `from_expr` adds the same e-nodes in the
-    same order, since a second visit of a shared subterm only hits the
-    hashcons."""
-    root, _, pick = _picks(g, root, AST_SIZE)
-    out = EGraph()
-    copied: dict[EClassId, EClassId] = {}
-
-    def copy(cid: EClassId) -> EClassId:
-        new = copied.get(cid)
-        if new is None:
-            n = pick[cid]
-            if n.children:
-                n = enode((n.op, None, tuple([copy(c) for c in n.children])))
-            new = copied[cid] = out.add(n)
-        return new
-
-    new_root = copy(root)
-    out.rebuild()
-    return out, out.find(new_root)
 
 
 def enumerate_terms(g: EGraph, cid: EClassId, depth: int) -> set:

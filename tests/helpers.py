@@ -245,10 +245,7 @@ class OracleEGraph(EGraph):
         new_data = oracle_join(kc.data, gc.data, context=f"union of classes {keep} and {gone}")
         kc.nodes.extend(gc.nodes)
         kc.parents.extend(gc.parents)
-        changed = new_data is not None and kc.data is None
         kc.data = new_data
-        if changed:
-            self._materialize_const(keep)
         self._worklist.append(keep)
         self._stale.add(keep)
         self.version += 1

@@ -249,10 +249,13 @@ def _state(g):
 
 def _run_constant_script(g, rng):
     """Seeded adds and unions over var and int leaves, rebuilt at random
-    points; returns the text of the first ConstantContradiction, if any.
-    Adds after a union, before the rebuild, pass children as they are,
-    which need not be roots, and may find a literal a fold already added.
-    Every `add` returns a root, also when its fold merged the new class."""
+    points; returns the states after each rebuild, the text of the first
+    ConstantContradiction, if any, and the count of unions whose kept class
+    has a datum. Adds after a union, before the rebuild, pass children as
+    they are, which need not be roots, and may find a literal a fold
+    already added. Every `add` returns a root, also when its fold merged
+    the new class. After every union the kept class stores the literal
+    e-node of its datum, so `union` need not add it."""
     def add(n):
         cid = g.add(n)
         assert g._uf[cid] == cid, (n, cid)
@@ -261,6 +264,7 @@ def _run_constant_script(g, rng):
     ids = [add(leaf("var", name)) for name in rng.sample(VAR_NAMES, 3)]
     ids += [add(leaf("int", v)) for v in rng.sample([-2, -1, 0, 1, 2, 3], 3)]
     states = []
+    datum_unions = 0
 
     def add_random(canonical):
         op = rng.choice(("+", "-", "*", "min", "max", "/", "%", "neg"))
@@ -271,7 +275,11 @@ def _run_constant_script(g, rng):
         for _ in range(rng.randrange(10, 30)):
             add_random(True)
         for _ in range(rng.randrange(2, 12)):
-            g.union(rng.choice(ids), rng.choice(ids))
+            keep = g.union(rng.choice(ids), rng.choice(ids))
+            data = g.classes[keep].data
+            if data is not None:
+                assert g.find(g.hashcons[literal(data)]) == keep, (keep, data)
+                datum_unions += 1
             if rng.random() < 0.3:
                 add_random(False)
                 ids.append(add(leaf("int", rng.choice([-4, 0, 2, 6, 9]))))
@@ -280,9 +288,9 @@ def _run_constant_script(g, rng):
                 states.append(_state(g))
         g.rebuild()
     except ConstantContradiction as exc:
-        return states, str(exc)
+        return states, str(exc), datum_unions
     states.append(_state(g))
-    return states, None
+    return states, None, datum_unions
 
 
 def test_incremental_repair_agrees_with_full_repair_oracle():
@@ -290,20 +298,21 @@ def test_incremental_repair_agrees_with_full_repair_oracle():
     # unsound unions and folds raise; every rebuild leaves the same graph,
     # union-find and hashcons as the full repair, and every error the same text
     errors = {"union": 0, "folding": 0}
-    folded = literal_leaves = bare_repairs = 0
+    folded = literal_leaves = bare_repairs = datum_unions = 0
     for seed in range(300):
         new, old = EGraph(), OracleEGraph()
         got = _run_constant_script(new, random.Random(seed))
         want = _run_constant_script(old, random.Random(seed))
         assert got == want, seed
-        states, error = got
+        states, error, n = got
+        datum_unions += n
         if error is not None:
             errors["union" if "union of classes" in error else "folding"] += 1
         folded += sum(data is not None for *_, data in states[-1][3]) if states else 0
         literal_leaves += old.literal_leaves
         bare_repairs += old.bare_repairs
     assert errors["union"] >= 50 and errors["folding"] >= 30, errors
-    assert folded >= 500, folded
+    assert folded >= 500 and datum_unions >= 500, (folded, datum_unions)
     # `add` gives a fresh literal leaf its datum without a fold, and the
     # repair of a class with no datum skips the fold
     assert literal_leaves >= 1000 and bare_repairs >= 400, (literal_leaves, bare_repairs)

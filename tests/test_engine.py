@@ -200,6 +200,26 @@ def test_deterministic_pulse_period():
     assert r.pulses == 3  # restarts after iterations 5, 10, 15
 
 
+def test_every_restart_builds_and_extracts_through_the_engine_names(monkeypatch):
+    # a restart is `from_expr` of `extract_best`'s term, called by the names
+    # in `caviar.engine` that a tracer wraps: one build at the start and one
+    # per pulse, one extraction per pulse and one at the end
+    calls = {"from_expr": 0, "extract_best": 0}
+    for name in calls:
+        real = getattr(caviar.engine, name)
+
+        def counted(*args, _real=real, _name=name, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(caviar.engine, name, counted)
+    c = cfg(deterministic=True, iter_limit=20, pulse_iters=5,
+            ilc_enabled=False, nppd_enabled=False, node_limit=100_000)
+    r = prove_pulsed(parse_infix("2 < x % 8"), RULES, [], c)
+    assert r.pulses == 3
+    assert calls == {"from_expr": 4, "extract_best": 4}
+
+
 def test_simplify_basic():
     res = simplify(parse_infix("(a + 0) * 1"), RULES,
                    cfg(time_limit=1.0, iter_limit=8))
