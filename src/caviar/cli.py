@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .egraph import ConstantContradiction
-from .engine import EngineConfig, prove_pulsed, simplify
+from .engine import EngineConfig, simplify
 from .expr import ParseError, SortError, parse_infix, print_infix
 from .extraction import AST_DEPTH, AST_SIZE
 from .harness import emit_report, prove_line, run_dataset, summarize

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 from .egraph import EClassId, EGraph, from_expr
 from .expr import BOOL, Expr, SortError, sort_of
 from .extraction import AST_SIZE, extract_best
-from .matching import NPPattern, _no_tick, apply_matches, gather_matches
+from .matching import NPPattern, _no_tick, apply_matches, gather_matches, index
 
 PROVED = "proved"
 NON_PROVABLE = "non_provable"
@@ -160,12 +160,10 @@ def _saturate(expr: Expr, rules, patterns: list[NPPattern] | None,
             return clock.limit
         return min(clock.limit, clock.now() + clock.pulse)
 
-    def match_tick():
+    def tick():
         if clock.now() >= deadline:
             raise _AbortRun(StopReason(clock.stop_kind))
-
-    def apply_tick():
-        match_tick()
+        # only applies grow the graph; it is frozen while an iteration gathers
         if len(g.hashcons) >= cfg.node_limit:
             raise _AbortRun(StopReason(NODE_LIMIT))
 
@@ -198,13 +196,14 @@ def _saturate(expr: Expr, rules, patterns: list[NPPattern] | None,
             continue
 
         version_before = g.version
-        # a rule whose lhs has an operator or a parent-child operator pair
-        # that the graph lacks cannot match it
-        shape = g.shape()
+        # each search's candidates, once per iteration; a rule whose lhs has
+        # an operator or parent-child operator pair the graph lacks cannot match
+        by_op, shape = index(g)
         active = [rule for rule in rules if rule.shape <= shape]
         try:
-            all_matches = [gather_matches(g, rule, tick=match_tick) for rule in active]
-            unions = sum(apply_matches(g, rule, ms, tick=apply_tick)
+            all_matches = [gather_matches(g, rule, by_op.get(rule.root, ()), tick=tick)
+                           for rule in active]
+            unions = sum(apply_matches(g, rule, ms, tick=tick)
                          for rule, ms in zip(active, all_matches) if ms)
         except _AbortRun as abort:
             # the iteration is abandoned mid-flight and not counted; restore

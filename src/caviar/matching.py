@@ -12,7 +12,7 @@ from .egraph import EClassId, EGraph, ENode, enode, leaf_of
 # patterns are terms with holes, so `PatVar` and `Pattern` are the term
 # language's; they are imported from here too
 from .expr import (
-    BOOL, Binary, BoolConst, IntConst, PatVar, Pattern, SortError, Unary, Var,
+    BOOL, INT, Binary, BoolConst, IntConst, PatVar, Pattern, SortError, Unary, Var,
     evaluate, root_sort, sort_of,
 )
 
@@ -153,17 +153,17 @@ class _Guarded:
 
     @cached_property
     def gather(self):
-        """`gather(g, tick, cands=None)`: the matches of `lhs` whose
-        substitution satisfies `cond`, over the classes `cands` if given;
-        compiled on first use."""
+        """`gather(g, tick, cands)`: the matches of `lhs` whose substitution
+        satisfies `cond`, over the classes `cands`; compiled on first use."""
         return _define(*_search_source(self.lhs, self.cond))
 
     def _check(self, where: str, sides: tuple) -> dict[str, str]:
         """The scope and sort rules, with errors named `where`. `sides` are
         the `(name, pattern)` pairs checked, `lhs` first: each later side and
         the condition use only variables that `lhs` binds, every side has
-        the sort `_sort` gives, and each `pred` of the condition is a boolean
-        term at the sorts the sides give the variables, which are returned."""
+        the sort `_sort` gives, each `pred` of the condition is a boolean
+        term at the sorts the sides give the variables, which are returned,
+        and each `nonzero` variable is int-sorted."""
         bound = pattern_vars(self.lhs)
         used = [(name, pattern_vars(p)) for name, p in sides[1:]]
         for what, names in used + [("condition", condition_vars(self.cond))]:
@@ -185,6 +185,8 @@ class _Guarded:
                 got = sort_of(c.expr, env, BOOL)
                 if got != BOOL:
                     raise SortError(f"{where}: pred is {got}-sorted, expected bool")
+            elif isinstance(c, CondNonZero) and env[c.var] != INT:
+                raise SortError(f"{where}: nonzero ?{c.var} is {env[c.var]}-sorted, expected int")
         return env
 
 
@@ -200,7 +202,7 @@ class Rule(_Guarded):
         """The lhs's operator symbols and its `(op, child index, child op)`
         triples between operator nodes. A match maps each onto a stored
         e-node whose child class stores that operator, so the rule can match
-        only a graph whose `EGraph.shape()` holds them all (leaves are left
+        only a graph whose shape (`index`) holds them all (leaves are left
         out, so this is safe)."""
         out = set()
 
@@ -217,6 +219,14 @@ class Rule(_Guarded):
         return frozenset(out)
 
     @cached_property
+    def root(self) -> str | None:
+        """The lhs's root operator or leaf kind, under which `index` lists
+        its candidates; None for a bare pattern variable."""
+        if isinstance(self.lhs, (Unary, Binary)):
+            return self.lhs.op
+        return None if isinstance(self.lhs, PatVar) else leaf_of(self.lhs).op
+
+    @cached_property
     def apply(self):
         """`apply(g, matches, tick)`: `apply_matches` of this rule, compiled
         on first use."""
@@ -231,6 +241,25 @@ class Rule(_Guarded):
     def validate(self) -> dict[str, str]:
         """Check variable scoping and sorts; returns the variables' sorts."""
         return self._check(f"rule {self.name}", (("lhs", self.lhs), ("rhs", self.rhs)))
+
+
+def index(g: EGraph) -> tuple[dict[str, list[EClassId]], set]:
+    """The operator index of a rebuilt graph, which maps each operator and
+    leaf kind to the sorted ids of the classes storing an e-node of it, and
+    its shape: those symbols and the `(op, child index, child op)` triples of
+    a stored `op` e-node whose child class stores an e-node of `child op`.
+    A rule whose `Rule.shape` is not a subset of the shape has no match."""
+    by_op: dict[str, list[EClassId]] = {}
+    ops_of: dict[EClassId, set[str]] = {}
+    classes = g.classes
+    for cid in sorted(classes):
+        ops = ops_of[cid] = {n.op for n in classes[cid].nodes}
+        for op in ops:
+            by_op.setdefault(op, []).append(cid)
+    shape = {(n.op, i, child_op) for cls in classes.values() for n in cls.nodes
+             for i, c in enumerate(n.children) for child_op in ops_of[c]}
+    shape.update(by_op)
+    return by_op, shape
 
 
 @dataclass(frozen=True)
@@ -363,25 +392,22 @@ def _emit_steps(steps, vals, lines, depth, subs, defined) -> int:
 
 def _search_source(p: Pattern, cond: Condition | None = None):
     """A search for `p`: the name, source and constants of `gather(g, tick,
-    cands=None)`, which returns the `(class, substitution)` pairs over the
-    classes `cands`, by default every class that `p` can match, whose
-    substitution satisfies `cond`, in a deterministic order. It calls `tick`
-    every 256 matches and every 256 classes after the first. Nothing
-    deduplicates, and no pair repeats: in a rebuilt graph each stored
-    e-node is held by one class, so a substitution fixes every e-node that a
-    match walks."""
+    cands)`, which returns the `(class, substitution)` pairs over the classes
+    `cands` whose substitution satisfies `cond`, in a deterministic order.
+    It calls `tick` every 256 matches and every 256 classes after the
+    first. Nothing deduplicates, and no pair repeats: in a rebuilt graph
+    each stored e-node is held by one class, so a substitution fixes every
+    e-node that a match walks."""
     consts = _Consts()
     keys = [consts.name(n) for n in pattern_vars(p)]
     steps, vals, leaves = _plan(p, consts)
     subst = "{" + ", ".join(f"{k}: {v}" for k, v in zip(keys, vals)) + "}"
-    cands = (f"g.classes_by_op().get({steps[0][3]}, ())" if isinstance(p, (Unary, Binary))
-             else "sorted(g.classes)")
-    lines = ["def gather(g, tick, cands=None):", "    classes, out, i = g.classes, [], 0"]
+    lines = ["def gather(g, tick, cands):", "    classes, out, i = g.classes, [], 0"]
     for i, node in enumerate(leaves):
         lines += [f"    l{i} = g.hashcons.get({consts.name(node)})",
                   f"    if l{i} is None: return out",
                   f"    l{i} = g.find(l{i})"]
-    lines += [f"    for j, cid in enumerate({cands} if cands is None else cands):",
+    lines += ["    for j, cid in enumerate(cands):",
               "        if j and not j & 255: tick()"]
     subs: list[list[str]] = []
     pad = "    " * _emit_steps(steps, vals, lines, 2, subs,
@@ -462,14 +488,18 @@ def _no_tick():
     pass
 
 
-def gather_matches(g: EGraph, rule: Rule,
+def gather_matches(g: EGraph, rule: Rule, cands=None,
                    tick=None) -> list[tuple[EClassId, Substitution]]:
-    """Condition-filtered matches of a rule's lhs against the frozen graph.
+    """Condition-filtered matches of a rule's lhs against the frozen graph,
+    over the candidate classes `cands`, by default every class that `index`
+    lists under `rule.root`.
 
     `tick`, if given, is called every 256 matches and every 256 candidate
     classes, and may raise to abort an enumeration that takes too long.
     """
-    return rule.gather(g, tick or _no_tick)
+    if cands is None:
+        cands = index(g)[0].get(rule.root, ())
+    return rule.gather(g, tick or _no_tick, cands)
 
 
 def apply_matches(g: EGraph, rule: Rule,

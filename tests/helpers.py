@@ -14,7 +14,7 @@ from caviar.expr import (
 )
 from caviar.matching import (
     CondAnd, CondPred, Condition, NPPattern, PatVar, Rule, apply_matches,
-    gather_matches,
+    gather_matches, index,
 )
 from caviar.rules import _VAR_CONDS, Ruleset
 
@@ -385,8 +385,12 @@ def oracle_ematch(g: EGraph, p) -> list[tuple[int, dict]]:
 
 def ematch(g: EGraph, p, cands=None) -> list[tuple[int, dict]]:
     """The compiled search of a condition-less pattern over the classes
-    `cands`, by default every class it can match."""
-    return Rule("ematch", p, p).gather(g, lambda: None, cands)
+    `cands`, by default every class it can match: those `index` lists
+    under its root, or every class for a bare pattern variable."""
+    r = Rule("ematch", p, p)
+    if cands is None:
+        cands = sorted(g.classes) if r.root is None else index(g)[0].get(r.root, ())
+    return r.gather(g, lambda: None, cands)
 
 
 def oracle_instantiate(g: EGraph, p, subst: dict) -> int:
@@ -457,7 +461,7 @@ def oracle_extract_best(g: EGraph, root: int, cost_model: str) -> tuple[Expr, in
 
 # ---------------------------------------------------------------------------
 # The operator index and the shape recomputed over every class: the
-# reference the graph's cached index is tested against.
+# reference `matching.index` is tested against.
 
 def oracle_index(g: EGraph) -> tuple[dict[str, list[int]], set]:
     by_op: dict[str, list[int]] = {}

@@ -11,6 +11,7 @@ from caviar.egraph import (
 from caviar.corpusgen import corpus_text
 from caviar.expr import BoolConst, IntConst, Var, parse_infix, parse_sexpr
 from caviar.harness import read_dataset
+from caviar.matching import index
 from caviar.rules import default_ruleset
 
 from .helpers import (
@@ -319,11 +320,11 @@ def test_incremental_repair_agrees_with_full_repair_oracle():
 
 
 class IndexCheckedEGraph(EGraph):
-    """Checks the operator index and the shape that the graph caches per
-    version against the ones recomputed over every class, after every
-    rebuild: a write that does not bump the version leaves the cache stale.
-    Checks too that a class's datum and its literal e-nodes agree both ways,
-    which the goal check relies on when it reads the root's datum alone."""
+    """Checks the operator index and the shape that `matching.index`
+    computes against the ones recomputed over every class, after every
+    rebuild. Checks too that a class's datum and its literal e-nodes agree
+    both ways, which the goal check relies on when it reads the root's
+    datum alone."""
 
     def __init__(self):
         super().__init__()
@@ -332,9 +333,7 @@ class IndexCheckedEGraph(EGraph):
 
     def rebuild(self):
         super().rebuild()
-        by_op, shape = oracle_index(self)
-        assert self.classes_by_op() == by_op
-        assert self.shape() == shape
+        assert index(self) == oracle_index(self)
         for cid, cls in self.classes.items():
             if cls.data is not None:
                 # the hashcons entry of the datum's literal finds the class
@@ -347,7 +346,7 @@ class IndexCheckedEGraph(EGraph):
         self.checked += 1
 
 
-def test_cached_index_agrees_with_recomputed_index():
+def test_index_and_data_agree_after_every_rebuild():
     # the constant scripts union, add over ids that are not roots and
     # materialize literals; saturation adds and unions at scale, and on
     # provable rows a rule's rhs brings in the goal literal
@@ -362,10 +361,10 @@ def test_cached_index_agrees_with_recomputed_index():
         g = IndexCheckedEGraph()
         g.add_expr(random_expr(random.Random(seed), 4))
         g.rebuild()
-        before = len(g.shape())
+        before = len(index(g)[1])
         saturate(g, rules, 3)
         graphs.append(g)
-        grew += len(g.shape()) > before
+        grew += len(index(g)[1]) > before
     for _, src in read_dataset(corpus_text("provable.txt"))[:16]:
         g = IndexCheckedEGraph()
         g.add_expr(parse_infix(src))

@@ -274,8 +274,8 @@ def test_per_rule_work_pinned(monkeypatch):
     record, latest = [], {}
     gather, apply = caviar.engine.gather_matches, caviar.engine.apply_matches
 
-    def gather_recorded(g, rule, tick=None):
-        ms = gather(g, rule, tick=tick)
+    def gather_recorded(g, rule, cands=None, tick=None):
+        ms = gather(g, rule, cands, tick=tick)
         latest[rule.name] = [rule.name, len(ms), 0]
         record.append(latest[rule.name])
         return ms

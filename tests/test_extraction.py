@@ -4,7 +4,7 @@ import random
 
 import caviar.extraction
 from caviar.egraph import EGraph, ENode, from_expr, leaf_term
-from caviar.expr import ast_size, evaluate, free_vars, parse_infix
+from caviar.expr import ast_size, free_vars, parse_infix
 from caviar.extraction import (
     _OP_ORDINAL, AST_DEPTH, AST_SIZE, _relax, enumerate_terms, extract_best,
 )

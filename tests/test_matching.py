@@ -13,9 +13,9 @@ import pytest
 from caviar.egraph import EGraph, ENode, from_expr
 from caviar.expr import SortError, parse_infix, parse_sexpr
 from caviar.matching import (
-    CondIsConst, CondNonConst, CondNonZero, CondPred, PatVar, Rule,
-    _apply_source, _search_source, apply_matches, apply_rule, eval_condition,
-    gather_matches, pattern_vars,
+    CondIsConst, CondNonConst, CondNonZero, CondPred, Rule, _apply_source,
+    _search_source, apply_matches, apply_rule, eval_condition, gather_matches,
+    index, pattern_vars,
 )
 from caviar.rules import default_nppd_patterns, default_ruleset, parse_nppd, parse_rules
 
@@ -190,7 +190,7 @@ def test_tick_can_stop_a_class_with_many_matches():
                 pulled.append(n)
                 yield n
 
-    g.classes_by_op()  # index first: count only the matcher's reads
+    cands = index(g)[0]["+"]  # index first: count only the matcher's reads
     big = g.classes[g.find(sums[0])]
     big.nodes = CountingNodes(big.nodes)
     assert len(big.nodes) == 400
@@ -203,7 +203,7 @@ def test_tick_can_stop_a_class_with_many_matches():
             raise Deadline
 
     with pytest.raises(Deadline):
-        gather_matches(g, rule("(rule add-comm (+ ?a ?b) (+ ?b ?a))"), tick=tick)
+        gather_matches(g, rule("(rule add-comm (+ ?a ?b) (+ ?b ?a))"), cands, tick=tick)
     assert len(pulled) == 257
 
 
@@ -245,11 +245,11 @@ def test_compiled_matcher_agrees_with_interpretive_oracle():
                 if got:
                     hit.add(i)
             for p in nppd:
-                for cands in (None, (g.find(root),)):
+                for cands in (sorted(g.classes), (g.find(root),)):
                     got = p.gather(g, lambda: None, cands)
                     assert got == oracle_gather(g, p.pattern, p.cond, cands), (seed, p.id)
                     nppd_kept += len(got)
-                    if cands and got:
+                    if len(cands) == 1 and got:
                         rooted.add(p.id)
             gathered = [gather_matches(g, r) for r in rules]
             for r, ms in zip(rules, gathered):
@@ -354,13 +354,13 @@ def test_rule_shape_filter_is_sound():
     assert rule("(rule r (+ ?a (* ?b 2)) ?a)").shape == {"+", "*", ("+", 1, "*")}
     assert rule("(rule r (! true) false)").shape == {"!"}
     g, _ = from_expr(parse_infix("a + b * 2"))
-    assert g.shape() == {"+", "*", "var", "int", ("+", 0, "var"), ("+", 1, "*"),
-                         ("*", 0, "var"), ("*", 1, "int")}
+    assert index(g)[1] == {"+", "*", "var", "int", ("+", 0, "var"), ("+", 1, "*"),
+                           ("*", 0, "var"), ("*", 1, "int")}
     skipped = 0
     for seed in range(16):
         g, _ = from_expr(random_bool_expr(random.Random(seed), 3))
         for _ in range(3):
-            shape = g.shape()
+            shape = index(g)[1]
             for r in rules:
                 if not r.shape <= shape:
                     assert ematch(g, r.lhs) == [], (seed, r.name)

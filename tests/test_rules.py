@@ -100,11 +100,14 @@ _HEAD = "; header\n(rule ok (+ ?a 0) ?a)\n"
     # an lhs that matches every class, of either sort
     (_HEAD + "(rule pad ?a (+ ?a 0))", "SortError: line 3: rule pad: lhs is a bare pattern variable"),
     (_HEAD + "(rule r ?a (&& ?a true))", "SortError: line 3: rule r: lhs is a bare pattern variable"),
+    # a condition at the wrong sort
+    (_HEAD + "(rule r (&& ?a ?b) ?a :if (nonzero ?a))",
+     "SortError: line 3: rule r: nonzero ?a is bool-sorted, expected int"),
     # past the interpreter's int/str digit limit
     (_HEAD + "(rule r (+ ?a 0)\n  (+ ?a " + "9" * 5000 + "))",
      "ParseError: line 4: integer literal longer than 4300 digits"),
 ], ids=["cond-no-operand", "cond-two-operands", "atom-at", "atom-dash", "patvar-at",
-        "bare-lhs-int", "bare-lhs-bool", "overlong-literal"])
+        "bare-lhs-int", "bare-lhs-bool", "nonzero-bool", "overlong-literal"])
 def test_bad_rule_file_names_its_line(text, error):
     with pytest.raises((ParseError, SortError)) as exc:
         parse_rules(text)
