@@ -48,11 +48,15 @@ def _show(value) -> str:
 
 class ConstantContradiction(Exception):
     def __init__(self, a, b, context: str = ""):
-        self.values = (a, b)
+        self.values, self.context = (a, b), context
         msg = f"constant contradiction: {_show(a)} vs {_show(b)}"
         if context:
             msg += f" ({context})"
         super().__init__(msg)
+
+    def __reduce__(self):
+        # to cross from a worker process: `Exception` unpickles as `cls(*args)`
+        return type(self), (*self.values, self.context)
 
 
 def _agree(a, b, context: str) -> None:
@@ -107,6 +111,9 @@ class EClass:
 
 
 class EGraph:
+    """`classes` iterates in ascending id order: ids are handed out in
+    increasing order, and `union` removes the larger of two ids."""
+
     def __init__(self):
         self._uf: list[int] = []
         self.classes: dict[EClassId, EClass] = {}

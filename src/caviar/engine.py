@@ -26,11 +26,8 @@ NON_PROVABLE_DETECTED = "non_provable_detected"
 
 
 class _AbortRun(Exception):
-    """Raised from a tick callback to abandon the current iteration."""
-
-    def __init__(self, stop: "StopReason"):
-        super().__init__(stop.kind)
-        self.stop = stop
+    """Raised from a tick to abandon the current iteration; `args[0]` is the
+    stop that ends the run, or None at a pulse boundary."""
 
 
 @dataclass(frozen=True)
@@ -123,24 +120,22 @@ def nppd_check(g: EGraph, root: EClassId, patterns: list[NPPattern]) -> str | No
 
 
 class _Clock:
-    """The budget of one prove/simplify call. It reads seconds on the wall
-    clock or, under `deterministic`, completed iterations; `budget`, the end
-    reading `limit` and the pulse period `pulse` (None: no pulsing) share
-    that unit, and running out stops with `stop_kind` (TIME/ITER_LIMIT)."""
+    """The budget of one prove/simplify call, in seconds on the wall clock
+    or, under `deterministic`, in completed iterations: `budget`, the end
+    reading `limit` and the pulse period `pulse` (None: no pulsing)."""
 
     def __init__(self, cfg: EngineConfig):
-        self.iterations = 0
-        self.pulses = 0
+        self.iterations = self.pulses = 0
         if cfg.deterministic:
             self.now = lambda: self.iterations
             self.seconds = lambda: 0.0  # keeps reports reproducible
-            self.budget, self.stop_kind = cfg.iter_limit, ITER_LIMIT
+            self.budget = cfg.iter_limit
             self.pulse = None if cfg.pulse_threshold is None else cfg.pulse_iters
         else:
             start = time.monotonic()
             self.now = time.monotonic
             self.seconds = lambda: time.monotonic() - start
-            self.budget, self.stop_kind = cfg.time_limit, TIME_LIMIT
+            self.budget = cfg.time_limit
             self.pulse = cfg.pulse_threshold
         self.limit = self.now() + self.budget
 
@@ -151,8 +146,8 @@ def _saturate(expr: Expr, rules, patterns: list[NPPattern] | None,
     """The one saturation loop, shared by every entry point: iterate with
     goal and non-provable checks, restart from the smallest form found so far
     when the pulse period runs out, and stop at a definite result or at the
-    end of the clock's budget. On the iteration clock the mid-iteration ticks
-    never fire, because the count only moves between iterations."""
+    end of the clock's budget. On the iteration clock only the node check can
+    fire mid-iteration, because the count only moves between iterations."""
     g, root = from_expr(expr)
 
     def pulse_end() -> float:
@@ -161,11 +156,17 @@ def _saturate(expr: Expr, rules, patterns: list[NPPattern] | None,
         return min(clock.limit, clock.now() + clock.pulse)
 
     def tick():
-        if clock.now() >= deadline:
-            raise _AbortRun(StopReason(clock.stop_kind))
-        # only applies grow the graph; it is frozen while an iteration gathers
+        # the run's one reading of its limits, before every iteration and
+        # inside long searches and applies; only applies grow the graph
         if len(g.hashcons) >= cfg.node_limit:
             raise _AbortRun(StopReason(NODE_LIMIT))
+        if clock.iterations >= cfg.iter_limit:
+            raise _AbortRun(StopReason(ITER_LIMIT))
+        now = clock.now()
+        if now >= deadline:
+            # the iteration limit is read first, so only the wall clock's time
+            # can pass `clock.limit`; short of it, this is a pulse boundary
+            raise _AbortRun(StopReason(TIME_LIMIT) if now >= clock.limit else None)
 
     def checks() -> StopReason | None:
         if cfg.ilc_enabled:
@@ -182,11 +183,25 @@ def _saturate(expr: Expr, rules, patterns: list[NPPattern] | None,
     # iteration-0 checks (Var/const roots and direct pattern hits stop here)
     stop = checks()
     while stop is None:
-        if clock.iterations >= cfg.iter_limit:
-            return g, root, StopReason(ITER_LIMIT)
-        if clock.now() >= deadline:
-            if clock.now() >= clock.limit:
-                return g, root, StopReason(clock.stop_kind)
+        version_before = g.version
+        try:
+            tick()
+            # each search's candidates, once per iteration; a rule whose lhs has
+            # an operator or parent-child operator pair the graph lacks can't match
+            by_op, shape = index(g)
+            active = [rule for rule in rules if rule.shape <= shape]
+            all_matches = [gather_matches(g, rule, by_op.get(rule.root, ()), tick=tick)
+                           for rule in active]
+            unions = sum(apply_matches(g, rule, ms, tick=tick)
+                         for rule, ms in zip(active, all_matches) if ms)
+        except _AbortRun as abort:
+            # the iteration is abandoned and not counted; once it has applied,
+            # restore invariants for the checks, a restart and extraction
+            if g.version != version_before:
+                g.rebuild()
+                root = g.find(root)
+            if abort.args[0] is not None:
+                return g, root, abort.args[0]
             # pulse boundary: restart from the best expression found so far,
             # and check the restarted graph before rewriting it
             g, root = from_expr(extract_best(g, root)[0])
@@ -194,40 +209,18 @@ def _saturate(expr: Expr, rules, patterns: list[NPPattern] | None,
             deadline = pulse_end()
             stop = checks()
             continue
-
-        version_before = g.version
-        # each search's candidates, once per iteration; a rule whose lhs has
-        # an operator or parent-child operator pair the graph lacks cannot match
-        by_op, shape = index(g)
-        active = [rule for rule in rules if rule.shape <= shape]
-        try:
-            all_matches = [gather_matches(g, rule, by_op.get(rule.root, ()), tick=tick)
-                           for rule in active]
-            unions = sum(apply_matches(g, rule, ms, tick=tick)
-                         for rule, ms in zip(active, all_matches) if ms)
-        except _AbortRun as abort:
-            # the iteration is abandoned mid-flight and not counted; restore
-            # invariants so the checks, a restart and extraction still work
-            g.rebuild()
-            root = g.find(root)
-            if abort.stop.kind == NODE_LIMIT:
-                return g, root, abort.stop
-            continue
         g.rebuild()
         root = g.find(root)
 
         clock.iterations += 1
-        n_enodes = len(g.hashcons)
         report.iterations.append(IterationStats(
             iteration=clock.iterations, matches=sum(map(len, all_matches)),
-            unions=unions, classes=len(g.classes), enodes=n_enodes,
+            unions=unions, classes=len(g.classes), enodes=len(g.hashcons),
             elapsed=clock.seconds()))
 
         stop = checks()
         if stop is None and g.version == version_before:
             stop = StopReason(SATURATED)
-        if stop is None and n_enodes >= cfg.node_limit:
-            stop = StopReason(NODE_LIMIT)
     return g, root, stop
 
 

@@ -252,8 +252,8 @@ def index(g: EGraph) -> tuple[dict[str, list[EClassId]], set]:
     by_op: dict[str, list[EClassId]] = {}
     ops_of: dict[EClassId, set[str]] = {}
     classes = g.classes
-    for cid in sorted(classes):
-        ops = ops_of[cid] = {n.op for n in classes[cid].nodes}
+    for cid, cls in classes.items():  # in ascending id order
+        ops = ops_of[cid] = {n.op for n in cls.nodes}
         for op in ops:
             by_op.setdefault(op, []).append(cid)
     shape = {(n.op, i, child_op) for cls in classes.values() for n in cls.nodes

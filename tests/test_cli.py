@@ -268,6 +268,20 @@ def test_unsound_rules_fatal_exit_code(tmp_path, capsys):
     assert "fatal: constant contradiction: " in err
 
 
+def test_unsound_rules_fatal_in_a_worker_process(tmp_path, capsys):
+    # the contradiction crosses the process pool pickled, and still exits 3
+    rules = tmp_path / "rules.txt"
+    rules.write_text("(rule mul-zero (* ?a 0) 0)\n"
+                     "(rule wrong (* ?a 0) 1)\n", encoding="utf-8")
+    rows = tmp_path / "rows.txt"
+    rows.write_text("x * 0 < 1\nx * 0 < 2\ny * 0 < 1\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "prove", "--input", str(rows), "--jobs", "2",
+                           "--deterministic", "--rules", str(rules))
+    assert code == 3
+    assert err.count("fatal: constant contradiction: ") == 1
+    assert "Traceback" not in err
+
+
 def test_contradiction_past_the_digit_limit_is_fatal(tmp_path, capsys):
     # both constants are past the int/str digit limit, so the message gives
     # their digit counts; formatting them must not turn exit 3 into exit 2
@@ -311,8 +325,23 @@ DETERMINISTIC_REPORT_SHA256 = {
         "b559aa3e3245682dea41bbd0e6895937ad441a7ddddd2db3295122cac2901378",
     ("blowup.txt", "vanilla"):
         "3483f3f0f23623cac694a3752ed1827360cfaecb69ddb49988f4592a92d69dde",
+    # these rows end on the final goal check, the iteration limit and the
+    # node limit, and pulse 49 times
+    ("provable.txt", "budget"):
+        "dbe486abde354117cd6199bea97d5e1fd381f187ec74044819e4c82d4b0f416d",
+    ("nonprovable.txt", "budget"):
+        "9e1cdb5ffd3c45131f95d46ee11776e916a3c75ba84f4c517a6ad429a5edb622",
+    ("nearmiss.txt", "budget"):
+        "aed44da702ecacd0013658885118cec99935ae77a32d022455565989ed435d55",
+    ("blowup.txt", "budget"):
+        "8cc0d39af3544608eac25d61327ac7370c0225342eb313fb21b69fa1a302e8e9",
 }
-_VANILLA_FLAGS = ("--no-pulse", "--no-ilc", "--no-nppd", "--iter-limit", "3")
+_FLAGS = {
+    "default": (),
+    "vanilla": ("--no-pulse", "--no-ilc", "--no-nppd", "--iter-limit", "3"),
+    "budget": ("--no-ilc", "--no-nppd", "--node-limit", "60", "--pulse-iters", "2",
+               "--iter-limit", "8"),
+}
 # sha256 of the `prove --deterministic --format json` report of each whole
 # shipped corpus: a change to any row's search, verdict or report shows here
 JSON_REPORT_SHA256 = {
@@ -324,14 +353,13 @@ JSON_REPORT_SHA256 = {
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
-@pytest.mark.parametrize("flags", ["default", "vanilla"])
+@pytest.mark.parametrize("flags", list(_FLAGS))
 def test_deterministic_report_pinned(tmp_path, capsys, name, flags):
     rows = [src for _, src in read_dataset(corpus_text(name))[:10]]
     path = tmp_path / name
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    extra = _VANILLA_FLAGS if flags == "vanilla" else ()
     code, out, _ = run_cli(capsys, "prove", "--input", str(path),
-                           "--deterministic", *extra)
+                           "--deterministic", *_FLAGS[flags])
     assert code == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == DETERMINISTIC_REPORT_SHA256[name, flags]

@@ -1,5 +1,6 @@
 """E-graph invariants: hashconsing, union-find, rebuild, constant data."""
 
+import pickle
 import random
 from collections import Counter
 
@@ -186,6 +187,15 @@ def test_contradiction_message_bounds_long_integers():
     assert exc.value.values == (big - 1, -big)
 
 
+def test_contradiction_survives_pickling():
+    # a worker process sends its contradiction to the parent pickled
+    for exc in (ConstantContradiction(5, 2, "folding into class 2"),
+                ConstantContradiction(True, 1)):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is ConstantContradiction
+        assert (back.values, str(back)) == (exc.values, str(exc))
+
+
 def test_from_expr_shares_subterms():
     g, root = from_expr(parse_infix("(x + 1) * (x + 1)"))
     # x, 1, x+1, and the product
@@ -322,9 +332,10 @@ def test_incremental_repair_agrees_with_full_repair_oracle():
 class IndexCheckedEGraph(EGraph):
     """Checks the operator index and the shape that `matching.index`
     computes against the ones recomputed over every class, after every
-    rebuild. Checks too that a class's datum and its literal e-nodes agree
-    both ways, which the goal check relies on when it reads the root's
-    datum alone."""
+    rebuild, and that `classes` iterates in ascending id order, which the
+    index's sorted id lists rely on. Checks too that a class's datum and its
+    literal e-nodes agree both ways, which the goal check relies on when it
+    reads the root's datum alone."""
 
     def __init__(self):
         super().__init__()
@@ -333,6 +344,7 @@ class IndexCheckedEGraph(EGraph):
 
     def rebuild(self):
         super().rebuild()
+        assert list(self.classes) == sorted(self.classes)
         assert index(self) == oracle_index(self)
         for cid, cls in self.classes.items():
             if cls.data is not None:

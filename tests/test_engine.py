@@ -100,6 +100,19 @@ def test_node_limit_stop():
     assert r.stop.kind == NODE_LIMIT
 
 
+def test_node_limit_read_before_every_iteration():
+    # an iteration's applies that cross the limit without a tick inside them
+    # end the run before the next iteration, with this one counted
+    c = cfg(deterministic=True, iter_limit=25, node_limit=8,
+            ilc_enabled=False, nppd_enabled=False)
+    r = prove(parse_infix("2 < x % 8"), RULES, [], c)
+    assert (r.stop.kind, r.iterations, r.enodes) == (NODE_LIMIT, 1, 10)
+    # a graph already at the limit runs no iteration, even one with no match
+    rules = parse_rules("(rule and-comm (&& ?a ?b) (&& ?b ?a))").rules
+    r = prove(parse_infix("x < y + 1"), rules, [], cfg(node_limit=2))
+    assert (r.stop.kind, r.iterations) == (NODE_LIMIT, 0)
+
+
 def test_time_limit_stop_bounded_overshoot():
     import time
     c = cfg(time_limit=0.3, ilc_enabled=False, nppd_enabled=False)
@@ -244,7 +257,7 @@ def test_config_validation():
         EngineConfig(iter_limit=-3, deterministic=True)
     with pytest.raises(ValueError, match="node_limit"):
         EngineConfig(node_limit=0)
-    # the smallest limits stand: no iteration, and a stop at the first e-node
+    # the smallest limits stand: a stop before the first iteration
     assert prove(parse_infix("x < x + 1"), RULES, [],
                  cfg(iter_limit=0, deterministic=True)).stop.kind == ITER_LIMIT
     assert prove(parse_infix("x < x + 1"), RULES, [],

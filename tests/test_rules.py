@@ -106,8 +106,13 @@ _HEAD = "; header\n(rule ok (+ ?a 0) ?a)\n"
     # past the interpreter's int/str digit limit
     (_HEAD + "(rule r (+ ?a 0)\n  (+ ?a " + "9" * 5000 + "))",
      "ParseError: line 4: integer literal longer than 4300 digits"),
+    # an rhs of the other sort than its lhs, and an operand of the wrong sort
+    (_HEAD + "(rule r (+ ?a 1) true)", "SortError: line 3: rule r: rhs is bool-sorted, expected int"),
+    (_HEAD + "(rule r (+ ?a true) ?a)",
+     "SortError: line 3: operator '+' expects int operands, got int, bool"),
 ], ids=["cond-no-operand", "cond-two-operands", "atom-at", "atom-dash", "patvar-at",
-        "bare-lhs-int", "bare-lhs-bool", "nonzero-bool", "overlong-literal"])
+        "bare-lhs-int", "bare-lhs-bool", "nonzero-bool", "overlong-literal", "rhs-sort",
+        "operand-sort"])
 def test_bad_rule_file_names_its_line(text, error):
     with pytest.raises((ParseError, SortError)) as exc:
         parse_rules(text)
