@@ -8,7 +8,7 @@ from .engine import (
     prove, prove_pulsed, simplify,
 )
 from .expr import (
-    Binary, BoolConst, Expr, IntConst, ParseError, PatVar, SortError, Unary,
+    App, BoolConst, Expr, IntConst, ParseError, PatVar, SortError,
     UnboundVariable, Var, evaluate, parse_infix, parse_sexpr, print_infix,
     print_sexpr,
 )
@@ -23,13 +23,13 @@ from .rules import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "AST_DEPTH", "AST_SIZE", "Binary", "BoolConst", "ConstantContradiction",
+    "AST_DEPTH", "AST_SIZE", "App", "BoolConst", "ConstantContradiction",
     "EGraph", "ENode", "EngineConfig", "Expr", "IntConst", "NPPattern",
     "ParseError", "PatVar", "ProveResult", "Rule", "RunReport", "Ruleset",
-    "SimplifyResult", "SortError", "StopReason", "Unary", "UnboundVariable",
-    "Var", "apply_rule", "default_nppd_patterns", "default_ruleset",
-    "emit_report", "evaluate", "extract_best", "from_expr", "load_nppd",
-    "load_rules", "parse_infix", "parse_nppd", "parse_rules", "parse_sexpr",
-    "print_infix", "print_sexpr", "prove", "prove_pulsed", "run_dataset",
-    "simplify", "summarize",
+    "SimplifyResult", "SortError", "StopReason", "UnboundVariable", "Var",
+    "apply_rule", "default_nppd_patterns", "default_ruleset", "emit_report",
+    "evaluate", "extract_best", "from_expr", "load_nppd", "load_rules",
+    "parse_infix", "parse_nppd", "parse_rules", "parse_sexpr", "print_infix",
+    "print_sexpr", "prove", "prove_pulsed", "run_dataset", "simplify",
+    "summarize",
 ]

@@ -22,7 +22,7 @@ import math
 from functools import partial
 from typing import NamedTuple
 
-from .expr import OPERATORS, Binary, BoolConst, Expr, IntConst, Unary, Var
+from .expr import OPERATORS, App, BoolConst, Expr, IntConst, Var
 
 EClassId = int
 
@@ -291,10 +291,11 @@ class EGraph:
         return any(n.op == LEAF_VAR for n in self.classes[self.find(cid)].nodes)
 
     def add_expr(self, e: Expr) -> EClassId:
-        if isinstance(e, Binary):
-            return self.add(enode((e.op, None, (self.add_expr(e.left), self.add_expr(e.right)))))
-        if isinstance(e, Unary):
-            return self.add(enode((e.op, None, (self.add_expr(e.child),))))
+        if isinstance(e, App):
+            kids = []
+            for x in e.args:
+                kids.append(self.add_expr(x))
+            return self.add(enode((e.op, None, tuple(kids))))
         return self.add(leaf_of(e))
 
 

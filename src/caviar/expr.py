@@ -11,6 +11,7 @@ import operator
 import re
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple, Union
 
 INT = "int"
@@ -87,16 +88,10 @@ class BoolConst:
 
 
 @dataclass(frozen=True)
-class Unary:
-    op: str  # "neg" or "!"
-    child: "Expr"
-
-
-@dataclass(frozen=True)
-class Binary:
+class App:
+    """Operator `op` applied to `args`, as many as `OPERATORS[op].arity`."""
     op: str
-    left: "Expr"
-    right: "Expr"
+    args: tuple
 
 
 @dataclass(frozen=True)
@@ -105,7 +100,7 @@ class PatVar:
     name: str
 
 
-Expr = Union[Var, IntConst, BoolConst, Unary, Binary]
+Expr = Union[Var, IntConst, BoolConst, App]
 Pattern = Union[Expr, PatVar]  # a term with holes
 
 Assignment = dict  # variable name -> int or bool
@@ -127,17 +122,16 @@ def sort_of(e: Pattern, pat_sorts: dict[str, str] | None = None,
     `hole` at the root, and records it in `pat_sorts`; a name asked for at
     two sorts is an error.
     """
-    if isinstance(e, Binary):
+    if isinstance(e, App):
         arg, res = _signature(e.op)
-        ls, rs = sort_of(e.left, pat_sorts, arg), sort_of(e.right, pat_sorts, arg)
-        if ls != arg or rs != arg:
-            raise SortError(f"operator {e.op!r} expects {arg} operands, got {ls}, {rs}")
-        return res
-    if isinstance(e, Unary):
-        arg, res = _signature(e.op)
-        got = sort_of(e.child, pat_sorts, arg)
-        if got != arg:
-            raise SortError(f"operator {e.op!r} expects {arg} operand, got {got}")
+        for x in e.args:
+            if sort_of(x, pat_sorts, arg) != arg:
+                # every operand's sort, or the error of a later one; `map`,
+                # as a comprehension would make `arg` a closure cell and so
+                # slow every call
+                got = ", ".join(map(sort_of, e.args, repeat(pat_sorts), repeat(arg)))
+                raise SortError(f"operator {e.op!r} expects {arg} "
+                                f"operand{'s' * (len(e.args) != 1)}, got {got}")
         return res
     if isinstance(e, (Var, IntConst)):
         return INT
@@ -156,7 +150,7 @@ def sort_of(e: Pattern, pat_sorts: dict[str, str] | None = None,
 def root_sort(e: Pattern) -> str | None:
     """Sort of a term's root node alone, its operands unchecked; None for a
     pattern variable, whose sort its context decides."""
-    if isinstance(e, (Unary, Binary)):
+    if isinstance(e, App):
         return OPERATORS[e.op].result
     if isinstance(e, BoolConst):
         return BOOL
@@ -184,27 +178,32 @@ def evaluate(e: Pattern, a: Assignment):
         return e.value
     if isinstance(e, BoolConst):
         return e.value
-    if isinstance(e, Unary):
-        return apply_op(e.op, evaluate(e.child, a))
-    return apply_op(e.op, evaluate(e.left, a), evaluate(e.right, a))
+    # every walker recurses from a plain loop: a comprehension (a frame of
+    # its own before Python 3.12) or a builtin that calls back into Python,
+    # such as `map` or `sum`, takes a second level of the recursion limit
+    # per level of the term, halving the depth a term can have
+    vals = []
+    for x in e.args:
+        vals.append(evaluate(x, a))
+    return apply_op(e.op, *vals)
 
 
 def ast_size(e: Expr) -> int:
-    if isinstance(e, (Var, IntConst, BoolConst)):
-        return 1
-    if isinstance(e, Unary):
-        return 1 + ast_size(e.child)
-    return 1 + ast_size(e.left) + ast_size(e.right)
+    n = 1
+    if isinstance(e, App):
+        for x in e.args:
+            n += ast_size(x)
+    return n
 
 
 def free_vars(e: Expr) -> set[str]:
     if isinstance(e, Var):
         return {e.name}
-    if isinstance(e, (IntConst, BoolConst)):
-        return set()
-    if isinstance(e, Unary):
-        return free_vars(e.child)
-    return free_vars(e.left) | free_vars(e.right)
+    out = set()
+    if isinstance(e, App):
+        for x in e.args:
+            out |= free_vars(x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +307,7 @@ class _InfixParser:
             want = OPERATORS[op].operand
             self._check(e, want, off)
             roff = toks[self.pos][2]
-            e = Binary(op, e, self._check(self.parse_binary(prec + 1), want, roff))
+            e = App(op, (e, self._check(self.parse_binary(prec + 1), want, roff)))
             last = prec
 
     def parse_unary(self) -> Expr:
@@ -320,10 +319,10 @@ class _InfixParser:
             if k == "int":
                 self.pos += 1
                 return IntConst(-_int_literal(v, o))
-            return Unary("neg", self._check(self.parse_unary(), INT, off))
+            return App("neg", (self._check(self.parse_unary(), INT, off),))
         if val == "!":
             self.pos += 1
-            return Unary("!", self._check(self.parse_unary(), BOOL, off))
+            return App("!", (self._check(self.parse_unary(), BOOL, off),))
         return self.parse_atom()
 
     def parse_atom(self) -> Expr:
@@ -344,7 +343,7 @@ class _InfixParser:
                 roff = self.toks[self.pos][2]
                 right = self._check(self.parse_binary(1), INT, roff)
                 self.expect(")")
-                return Binary(val, left, right)
+                return App(val, (left, right))
             return Var(val)
         if val == "(":
             e = self.parse_binary(1)
@@ -365,17 +364,19 @@ def print_infix(e: Expr) -> str:
             return str(e.value)
         if isinstance(e, BoolConst):
             return "true" if e.value else "false"
-        if isinstance(e, Unary):
+        if len(e.args) == 1:
+            x, = e.args
             sym = "-" if e.op == "neg" else "!"
             # a negated literal must not print as `-3`, which the parser
             # would fold back into a single negative constant
-            if e.op == "neg" and isinstance(e.child, IntConst) and e.child.value >= 0:
-                return f"-({e.child.value})"
-            return f"{sym}{go(e.child, 6, True)}"
+            if e.op == "neg" and isinstance(x, IntConst) and x.value >= 0:
+                return f"-({x.value})"
+            return f"{sym}{go(x, 6, True)}"
+        left, right = e.args
         if e.op in ("min", "max"):
-            return f"{e.op}({go(e.left, 0, False)}, {go(e.right, 0, False)})"
+            return f"{e.op}({go(left, 0, False)}, {go(right, 0, False)})"
         p = _PREC[e.op]
-        s = f"{go(e.left, p, False)} {e.op} {go(e.right, p, True)}"
+        s = f"{go(left, p, False)} {e.op} {go(right, p, True)}"
         # parenthesize at equal precedence on the right (left-associative ops)
         # and always for nested comparisons
         if p < parent_prec or (p == parent_prec and rhs):
@@ -444,15 +445,17 @@ def build_term(node: tuple[int, object], patvars: bool = False) -> Pattern:
         return _atom(v, off, patvars)
     if not v or not isinstance(v[0][1], str):
         raise ParseError("expected operator symbol", v[0][0] if v else off + 1)
-    (hoff, head), args = v[0], [build_term(a, patvars) for a in v[1:]]
+    (hoff, head), args = v[0], []
+    for a in v[1:]:
+        args.append(build_term(a, patvars))
     op = "!" if head == "not" else head
     if op not in OPERATORS:
         raise ParseError(f"unknown operator {head!r}", hoff)
     arity = OPERATORS[op].arity
     if len(args) != arity:
-        raise ParseError(f"operator {head!r} takes {arity} argument{'s' * (arity - 1)}, "
+        raise ParseError(f"operator {head!r} takes {arity} argument{'s' * (arity != 1)}, "
                          f"got {len(args)}", hoff)
-    return Unary(op, *args) if arity == 1 else Binary(op, *args)
+    return App(op, tuple(args))
 
 
 def parse_sexpr(text: str, allow_patvars: bool = False) -> Pattern:
@@ -474,10 +477,11 @@ def print_sexpr(e: Pattern) -> str:
         return str(e.value)
     if isinstance(e, BoolConst):
         return "true" if e.value else "false"
-    if isinstance(e, Unary):
-        return f"({e.op} {print_sexpr(e.child)})"
-    if isinstance(e, Binary):
-        return f"({e.op} {print_sexpr(e.left)} {print_sexpr(e.right)})"
+    if isinstance(e, App):
+        parts = [e.op]
+        for x in e.args:
+            parts.append(print_sexpr(x))
+        return f"({' '.join(parts)})"
     if isinstance(e, PatVar):
         return f"?{e.name}"
     raise TypeError(f"not an Expr: {e!r}")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 from .egraph import LEAF_BOOL, LEAF_INT, LEAF_VAR, EClassId, EGraph, ENode, leaf_term
-from .expr import OPERATORS, Binary, Expr, Unary
+from .expr import OPERATORS, App, Expr
 
 AST_SIZE = "ast-size"
 AST_DEPTH = "ast-depth"
@@ -82,12 +84,13 @@ def extract_best(g: EGraph, root: EClassId, cost_model: str = AST_SIZE) -> tuple
         if term is not None:
             return term
         n = pick[cid]
-        if not n.children:
-            term = leaf_term(n)
-        elif len(n.children) == 1:
-            term = Unary(n.op, build(n.children[0]))
+        if n.children:
+            args = []
+            for c in n.children:
+                args.append(build(c))
+            term = App(n.op, tuple(args))
         else:
-            term = Binary(n.op, build(n.children[0]), build(n.children[1]))
+            term = leaf_term(n)
         terms[cid] = term
         return term
 
@@ -114,14 +117,8 @@ def enumerate_terms(g: EGraph, cid: EClassId, depth: int) -> set:
             if not n.children:
                 out.add(leaf_term(n))
             elif d > 1:
-                subsets = [go(c, d - 1) for c in n.children]
-                if len(subsets) == 1:
-                    for a in subsets[0]:
-                        out.add(Unary(n.op, a))
-                else:
-                    for a in subsets[0]:
-                        for b in subsets[1]:
-                            out.add(Binary(n.op, a, b))
+                for args in product(*[go(c, d - 1) for c in n.children]):
+                    out.add(App(n.op, args))
         result = frozenset(out)
         memo[key] = result
         return result

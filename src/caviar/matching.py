@@ -12,8 +12,8 @@ from .egraph import EClassId, EGraph, ENode, enode, leaf_of
 # patterns are terms with holes, so `PatVar` and `Pattern` are the term
 # language's; they are imported from here too
 from .expr import (
-    BOOL, INT, Binary, BoolConst, IntConst, PatVar, Pattern, SortError, Unary, Var,
-    evaluate, root_sort, sort_of,
+    BOOL, INT, App, BoolConst, IntConst, PatVar, Pattern, SortError, Var, evaluate,
+    root_sort, sort_of,
 )
 
 Substitution = dict  # pattern variable name -> EClassId
@@ -27,11 +27,9 @@ def pattern_vars(p: Pattern) -> list[str]:
         if isinstance(p, PatVar):
             if p.name not in out:
                 out.append(p.name)
-        elif isinstance(p, Unary):
-            go(p.child)
-        elif isinstance(p, Binary):
-            go(p.left)
-            go(p.right)
+        elif isinstance(p, App):
+            for k in p.args:
+                go(k)
 
     go(p)
     return out
@@ -207,11 +205,10 @@ class Rule(_Guarded):
         out = set()
 
         def go(p):
-            if isinstance(p, (Unary, Binary)):
+            if isinstance(p, App):
                 out.add(p.op)
-                kids = (p.child,) if isinstance(p, Unary) else (p.left, p.right)
-                for i, k in enumerate(kids):
-                    if isinstance(k, (Unary, Binary)):
+                for i, k in enumerate(p.args):
+                    if isinstance(k, App):
                         out.add((p.op, i, k.op))
                     go(k)
 
@@ -222,7 +219,7 @@ class Rule(_Guarded):
     def root(self) -> str | None:
         """The lhs's root operator or leaf kind, under which `index` lists
         its candidates; None for a bare pattern variable."""
-        if isinstance(self.lhs, (Unary, Binary)):
+        if isinstance(self.lhs, App):
             return self.lhs.op
         return None if isinstance(self.lhs, PatVar) else leaf_of(self.lhs).op
 
@@ -335,15 +332,14 @@ def _plan(p: Pattern, consts: _Consts):
         if isinstance(p, PatVar) and p.name not in bound:
             bound[p.name] = cls
             return
-        if not isinstance(p, (Unary, Binary)):
+        if not isinstance(p, App):
             steps.append(("same", [pair(p, cls)]))
             return
-        kids = (p.child,) if isinstance(p, Unary) else (p.left, p.right)
         locs, rest = [], []
-        for i, k in enumerate(kids):
+        for i, k in enumerate(p.args):
             # a variable's first occurrence binds it where it is unpacked
             if (isinstance(k, PatVar) and k.name not in bound
-                    and not any(k.name in pattern_vars(e) for e in kids[:i])):
+                    and not any(k.name in pattern_vars(e) for e in p.args[:i])):
                 bound[k.name] = f"v{names.index(k.name)}"
                 locs.append(bound[k.name])
             else:
@@ -445,7 +441,7 @@ def _apply_source(p: Pattern):
         if isinstance(p, (Var, IntConst, BoolConst)):
             expr = f"add({consts.name(leaf_of(p))})"
         else:
-            kids = [go(p.child)] if isinstance(p, Unary) else [go(p.left), go(p.right)]
+            kids = list(map(go, p.args))
             expr = f"add(enode(({consts.name(p.op)}, None, ({_tuple(kids)}))))"
         t = f"t{next(temps)}"
         rhs.append(f"{t} = {expr}")

@@ -9,8 +9,8 @@ from caviar.egraph import (
 )
 from caviar.extraction import AST_DEPTH, _node_key
 from caviar.expr import (
-    BOOL, INT, OPERATORS, Binary, BoolConst, Expr, IntConst, ParseError, Unary,
-    Var, _ident_end, apply_op, evaluate, free_vars, print_sexpr,
+    BOOL, INT, OPERATORS, App, BoolConst, Expr, IntConst, ParseError, Var,
+    _ident_end, apply_op, evaluate, free_vars, print_sexpr,
 )
 from caviar.matching import (
     CondAnd, CondPred, Condition, NPPattern, PatVar, Rule, apply_matches,
@@ -45,10 +45,10 @@ def random_int_expr(rng: random.Random, depth: int, allow_consts: bool = True) -
             return IntConst(rng.choice([-3, -2, -1, 0, 1, 2, 3, 5, 8]))
         return Var(rng.choice(VAR_NAMES))
     if rng.random() < 0.15:
-        return Unary("neg", random_int_expr(rng, depth - 1, allow_consts))
+        return App("neg", (random_int_expr(rng, depth - 1, allow_consts),))
     op = rng.choice(ARITH_OPS)
-    return Binary(op, random_int_expr(rng, depth - 1, allow_consts),
-                  random_int_expr(rng, depth - 1, allow_consts))
+    return App(op, (random_int_expr(rng, depth - 1, allow_consts),
+                    random_int_expr(rng, depth - 1, allow_consts)))
 
 
 def random_bool_expr(rng: random.Random, depth: int, allow_consts: bool = True) -> Expr:
@@ -56,18 +56,18 @@ def random_bool_expr(rng: random.Random, depth: int, allow_consts: bool = True) 
         if allow_consts and rng.random() < 0.3:
             return BoolConst(rng.random() < 0.5)
         op = rng.choice(CMP_OPS)
-        return Binary(op, random_int_expr(rng, 1, allow_consts),
-                      random_int_expr(rng, 1, allow_consts))
+        return App(op, (random_int_expr(rng, 1, allow_consts),
+                        random_int_expr(rng, 1, allow_consts)))
     r = rng.random()
     if r < 0.2:
-        return Unary("!", random_bool_expr(rng, depth - 1, allow_consts))
+        return App("!", (random_bool_expr(rng, depth - 1, allow_consts),))
     if r < 0.6:
         op = rng.choice(LOGIC_OPS)
-        return Binary(op, random_bool_expr(rng, depth - 1, allow_consts),
-                      random_bool_expr(rng, depth - 1, allow_consts))
+        return App(op, (random_bool_expr(rng, depth - 1, allow_consts),
+                        random_bool_expr(rng, depth - 1, allow_consts)))
     op = rng.choice(CMP_OPS)
-    return Binary(op, random_int_expr(rng, depth - 1, allow_consts),
-                  random_int_expr(rng, depth - 1, allow_consts))
+    return App(op, (random_int_expr(rng, depth - 1, allow_consts),
+                    random_int_expr(rng, depth - 1, allow_consts)))
 
 
 def random_expr(rng: random.Random, depth: int = 3, allow_consts: bool = True) -> Expr:
@@ -350,15 +350,19 @@ def oracle_match_node(g: EGraph, p, cid: int, subst: dict):
         if has_literal(g, cid, p.value):
             yield subst
         return
-    if isinstance(p, Unary):
-        for n in oracle_nodes(g, cid):
-            if n.op == p.op:
-                yield from oracle_match_node(g, p.child, n.children[0], subst)
-        return
     for n in oracle_nodes(g, cid):
-        if n.op == p.op and len(n.children) == 2:
-            for s1 in oracle_match_node(g, p.left, n.children[0], subst):
-                yield from oracle_match_node(g, p.right, n.children[1], s1)
+        if n.op == p.op and len(n.children) == len(p.args):
+            yield from _oracle_match_args(g, p.args, n.children, subst)
+
+
+def _oracle_match_args(g: EGraph, ps: tuple, cids: tuple, subst: dict):
+    """Yields substitutions matching each pattern of `ps` against the class
+    at the same position of `cids`, left to right."""
+    if not ps:
+        yield subst
+        return
+    for s in oracle_match_node(g, ps[0], cids[0], subst):
+        yield from _oracle_match_args(g, ps[1:], cids[1:], s)
 
 
 def oracle_ematch_class(g: EGraph, p, cid: int) -> list[dict]:
@@ -377,7 +381,7 @@ def oracle_ematch_class(g: EGraph, p, cid: int) -> list[dict]:
 def oracle_ematch(g: EGraph, p) -> list[tuple[int, dict]]:
     """Every (class, substitution) pair where the pattern matches, over the
     classes holding the pattern's root operator in ascending id order."""
-    op = p.op if isinstance(p, (Unary, Binary)) else None
+    op = p.op if isinstance(p, App) else None
     candidates = sorted({g.find(cid) for cid in g.classes
                          if op is None or any(n.op == op for n in oracle_nodes(g, cid))})
     return [(cid, s) for cid in candidates for s in oracle_ematch_class(g, p, cid)]
@@ -403,10 +407,8 @@ def oracle_instantiate(g: EGraph, p, subst: dict) -> int:
         return g.add(leaf("var", p.name))
     if isinstance(p, (IntConst, BoolConst)):
         return g.add(leaf("int" if isinstance(p, IntConst) else "bool", p.value))
-    if isinstance(p, Unary):
-        return g.add(ENode(p.op, None, (oracle_instantiate(g, p.child, subst),)))
-    left = oracle_instantiate(g, p.left, subst)
-    return g.add(ENode(p.op, None, (left, oracle_instantiate(g, p.right, subst))))
+    kids = [oracle_instantiate(g, k, subst) for k in p.args]
+    return g.add(ENode(p.op, None, tuple(kids)))
 
 
 def oracle_apply(g: EGraph, rhs, matches) -> int:
@@ -452,9 +454,7 @@ def oracle_extract_best(g: EGraph, root: int, cost_model: str) -> tuple[Expr, in
             return IntConst(n.payload)
         if n.op == "bool":
             return BoolConst(n.payload)
-        if len(n.children) == 1:
-            return Unary(n.op, build(n.children[0]))
-        return Binary(n.op, build(n.children[0]), build(n.children[1]))
+        return App(n.op, tuple([build(c) for c in n.children]))
 
     return build(root), best[root][0]
 

@@ -10,33 +10,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import caviar.extraction
+from caviar.egraph import from_expr
+from caviar.engine import EngineConfig, prove_pulsed
 from caviar.expr import (
-    BOOL, INT, OPERATORS, Binary, BoolConst, IntConst, ParseError, PatVar,
-    SortError, Unary, UnboundVariable, Var, _tokenize_infix, apply_op, ast_size,
-    evaluate, free_vars, parse_infix, parse_sexpr, print_infix, print_sexpr,
-    sort_of,
+    BOOL, INT, OPERATORS, App, BoolConst, IntConst, Operator, ParseError,
+    PatVar, SortError, UnboundVariable, Var, _tokenize_infix, apply_op,
+    ast_size, evaluate, free_vars, parse_infix, parse_sexpr, print_infix,
+    print_sexpr, sort_of,
 )
+from caviar.extraction import extract_best
+from caviar.matching import apply_rule
+from caviar.rules import default_ruleset, parse_rules
 
 from .helpers import VALUE_POOL, oracle_tokenize_infix, random_expr
 
 
 def test_parse_infix_precedence():
     e = parse_infix("a + b * c")
-    assert e == Binary("+", Var("a"), Binary("*", Var("b"), Var("c")))
+    assert e == App("+", (Var("a"), App("*", (Var("b"), Var("c")))))
     e = parse_infix("a * b + c")
-    assert e == Binary("+", Binary("*", Var("a"), Var("b")), Var("c"))
+    assert e == App("+", (App("*", (Var("a"), Var("b"))), Var("c")))
     e = parse_infix("a < b && c < d || e < f")
     assert e.op == "||"
-    assert e.left.op == "&&"
+    assert e.args[0].op == "&&"
 
 
 def test_parse_infix_unary_and_functions():
-    assert parse_infix("-a") == Unary("neg", Var("a"))
-    assert parse_infix("--a") == Unary("neg", Unary("neg", Var("a")))
-    assert parse_infix("!(a < b)") == Unary("!", Binary("<", Var("a"), Var("b")))
-    assert parse_infix("min(a, b)") == Binary("min", Var("a"), Var("b"))
-    assert parse_infix("max(a + 1, 2)") == Binary(
-        "max", Binary("+", Var("a"), IntConst(1)), IntConst(2))
+    assert parse_infix("-a") == App("neg", (Var("a"),))
+    assert parse_infix("--a") == App("neg", (App("neg", (Var("a"),)),))
+    assert parse_infix("!(a < b)") == App("!", (App("<", (Var("a"), Var("b"))),))
+    assert parse_infix("min(a, b)") == App("min", (Var("a"), Var("b")))
+    assert parse_infix("max(a + 1, 2)") == App(
+        "max", (App("+", (Var("a"), IntConst(1))), IntConst(2)))
 
 
 def test_parse_infix_literals():
@@ -44,13 +50,13 @@ def test_parse_infix_literals():
     assert parse_infix("false") == BoolConst(False)
     # a leading minus on a literal folds into the constant
     assert parse_infix("-3") == IntConst(-3)
-    assert parse_infix("v0 + -1") == Binary("+", Var("v0"), IntConst(-1))
-    assert parse_infix("-(3)") == Unary("neg", IntConst(3))
+    assert parse_infix("v0 + -1") == App("+", (Var("v0"), IntConst(-1)))
+    assert parse_infix("-(3)") == App("neg", (IntConst(3),))
 
 
 def test_parse_infix_subtraction_is_left_assoc():
     e = parse_infix("a - b - c")
-    assert e == Binary("-", Binary("-", Var("a"), Var("b")), Var("c"))
+    assert e == App("-", (App("-", (Var("a"), Var("b"))), Var("c")))
 
 
 def test_comparison_non_associative():
@@ -147,10 +153,10 @@ def test_parse_deep_sum_checks_sorts_in_linear_time():
     # each operand's sort is checked once, at its root; re-checking whole
     # operands made this quadratic and overflowed the recursion limit
     e = parse_infix(" + ".join(["x"] * 1200) + " <= 0")
-    assert e.op == "<=" and e.right == IntConst(0)
-    depth, left = 0, e.left
-    while isinstance(left, Binary):
-        depth, left = depth + 1, left.left
+    assert e.op == "<=" and e.args[1] == IntConst(0)
+    depth, left = 0, e.args[0]
+    while isinstance(left, App):
+        depth, left = depth + 1, left.args[0]
     assert depth == 1199 and left == Var("x")
     with pytest.raises(SortError):
         parse_infix(" + ".join(["x"] * 1200) + " + (x < 0)")
@@ -286,7 +292,7 @@ def test_sexpr_round_trip():
 
 def test_sexpr_patvars():
     p = parse_sexpr("(+ ?a 1)", allow_patvars=True)
-    assert p == Binary("+", PatVar("a"), IntConst(1))
+    assert p == App("+", (PatVar("a"), IntConst(1)))
     assert print_sexpr(p) == "(+ ?a 1)"
     with pytest.raises(ParseError):
         parse_sexpr("(+ ?a 1)", allow_patvars=False)
@@ -295,11 +301,11 @@ def test_sexpr_patvars():
 def test_sexpr_identifiers_are_infix_identifiers():
     for tok in ["x", "_x1", "x\u00b2", "foo@", "x-y", "1x", "?", "x.y"]:
         try:
-            infix_ok = parse_infix(f"{tok} < 0") == Binary("<", Var(tok), IntConst(0))
+            infix_ok = parse_infix(f"{tok} < 0") == App("<", (Var(tok), IntConst(0)))
         except ParseError:
             infix_ok = False
         try:
-            sexpr_ok = parse_sexpr(f"(< {tok} 0)") == Binary("<", Var(tok), IntConst(0))
+            sexpr_ok = parse_sexpr(f"(< {tok} 0)") == App("<", (Var(tok), IntConst(0)))
         except ParseError:
             sexpr_ok = False
         assert sexpr_ok == infix_ok, tok
@@ -307,8 +313,9 @@ def test_sexpr_identifiers_are_infix_identifiers():
 
 def test_sexpr_comments_and_errors():
     assert parse_sexpr("; lead\n(+ a ; inner\n 1) # tail") == \
-        Binary("+", Var("a"), IntConst(1))
+        App("+", (Var("a"), IntConst(1)))
     for src, error in [("(+ a)", "operator '+' takes 2 arguments, got 1 (at offset 1)"),
+                       ("(neg a b)", "operator 'neg' takes 1 argument, got 2 (at offset 1)"),
                        ("(foo a b)", "unknown operator 'foo' (at offset 1)"),
                        ("(+ a b", "missing ')' (at offset 0)"),
                        ("(+ a b) c", "unexpected trailing input (at offset 8)"),
@@ -320,6 +327,54 @@ def test_sexpr_comments_and_errors():
         with pytest.raises(ParseError) as exc:
             parse_sexpr(src)
         assert str(exc.value) == error
+
+
+def test_operator_arity_is_read_from_the_table_alone(monkeypatch):
+    # a ternary operator takes one table row (and an extraction tie-break
+    # ordinal): every walker reads its arity from `OPERATORS`
+    clamp = Operator(3, INT, INT, lambda x, lo, hi: min(max(x, lo), hi))
+    monkeypatch.setitem(OPERATORS, "clamp", clamp)
+    monkeypatch.setitem(caviar.extraction._OP_ORDINAL, "clamp",
+                        len(caviar.extraction._OP_ORDINAL))
+    e = parse_sexpr("(clamp x 0 5)")
+    assert e == App("clamp", (Var("x"), IntConst(0), IntConst(5)))
+    assert sort_of(e) == INT
+    assert [evaluate(e, {"x": x}) for x in (-3, 2, 9)] == [0, 2, 5]
+    assert print_sexpr(e) == "(clamp x 0 5)"
+    assert extract_best(*from_expr(e)) == (e, 4)
+    # constant folding applies it too
+    assert extract_best(*from_expr(parse_sexpr("(clamp 7 0 5)"))) == (IntConst(5), 1)
+    rule, = parse_rules("(rule r (clamp ?a ?b ?b) ?b)").rules
+    g, root = from_expr(parse_sexpr("(clamp (+ x 1) y y)"))
+    assert apply_rule(g, rule) == 1
+    assert extract_best(g, root) == (Var("y"), 1)
+    with pytest.raises(ParseError) as exc:
+        parse_sexpr("(clamp x 1)")
+    assert exc.value.message == "operator 'clamp' takes 3 arguments, got 2"
+
+
+def test_term_walkers_keep_nesting_depth():
+    # each walker takes one level of the recursion limit per level of a term
+    # (a comprehension over the operands, before Python 3.12, or a `map` or
+    # `sum` over them would take two), so a chain of 900 nested `+` stays
+    # under the default limit of 1000
+    e = Var("x")
+    for _ in range(900):
+        e = App("+", (e, IntConst(1)))
+    e = App("<", (e, Var("y")))
+    text = print_sexpr(e)
+    assert text == "(< " + "(+ " * 900 + "x" + " 1)" * 900 + " y)"
+    assert print_sexpr(parse_sexpr(text)) == text
+    assert sort_of(e) == BOOL
+    assert evaluate(e, {"x": 0, "y": 901}) is True
+    assert ast_size(e) == 1803
+    assert free_vars(e) == {"x", "y"}
+    assert print_infix(e) == "x" + " + 1" * 900 + " < y"
+    g, root = from_expr(e)
+    best, cost = extract_best(g, root)
+    assert print_sexpr(best) == text and cost == 1803
+    r = prove_pulsed(e, default_ruleset(), cfg=EngineConfig(deterministic=True, iter_limit=0))
+    assert r.outcome == "unknown" and print_sexpr(r.best_expr) == text
 
 
 @settings(max_examples=200, deadline=None)

@@ -110,9 +110,11 @@ _HEAD = "; header\n(rule ok (+ ?a 0) ?a)\n"
     (_HEAD + "(rule r (+ ?a 1) true)", "SortError: line 3: rule r: rhs is bool-sorted, expected int"),
     (_HEAD + "(rule r (+ ?a true) ?a)",
      "SortError: line 3: operator '+' expects int operands, got int, bool"),
+    (_HEAD + "(rule r (neg true) 0)",
+     "SortError: line 3: operator 'neg' expects int operand, got bool"),
 ], ids=["cond-no-operand", "cond-two-operands", "atom-at", "atom-dash", "patvar-at",
         "bare-lhs-int", "bare-lhs-bool", "nonzero-bool", "overlong-literal", "rhs-sort",
-        "operand-sort"])
+        "operand-sort", "unary-operand-sort"])
 def test_bad_rule_file_names_its_line(text, error):
     with pytest.raises((ParseError, SortError)) as exc:
         parse_rules(text)
