@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .egraph import EClassId, EGraph, from_expr
 from .expr import BOOL, Expr, SortError, sort_of
@@ -30,8 +30,7 @@ class _AbortRun(Exception):
     stop that ends the run, or None at a pulse boundary."""
 
 
-@dataclass(frozen=True)
-class StopReason:
+class StopReason(NamedTuple):
     kind: str
     detail: object = None  # goal index (0 false, 1 true) / pattern id
 
@@ -41,20 +40,30 @@ class StopReason:
         return f"{self.kind}({self.detail})"
 
 
-@dataclass
 class EngineConfig:
-    time_limit: float = 3.0
-    iter_limit: int = 10_000
-    node_limit: int = 1_000_000
-    ilc_enabled: bool = True
-    nppd_enabled: bool = True
-    pulse_threshold: float | None = 0.05  # seconds; None disables pulsing
+    """The limits and switches of a run, set by keyword; the defaults are
+    class attributes."""
+    time_limit = 3.0
+    iter_limit = 10_000
+    node_limit = 1_000_000
+    ilc_enabled = True
+    nppd_enabled = True
+    pulse_threshold = 0.05  # seconds; None disables pulsing
     # deterministic mode runs on the iteration clock: iter_limit bounds the
     # run and pulse_iters is the pulse period
-    deterministic: bool = False
-    pulse_iters: int = 5
+    deterministic = False
+    pulse_iters = 5
 
-    def __post_init__(self):
+    def __init__(self, time_limit: float = time_limit, iter_limit: int = iter_limit,
+                 node_limit: int = node_limit, ilc_enabled: bool = ilc_enabled,
+                 nppd_enabled: bool = nppd_enabled,
+                 pulse_threshold: float | None = pulse_threshold,
+                 deterministic: bool = deterministic, pulse_iters: int = pulse_iters):
+        self.time_limit, self.iter_limit, self.node_limit = time_limit, iter_limit, node_limit
+        self.ilc_enabled, self.nppd_enabled = ilc_enabled, nppd_enabled
+        self.pulse_threshold, self.deterministic = pulse_threshold, deterministic
+        self.pulse_iters = pulse_iters
+
         # a NaN deadline never passes, so neither pulses nor the limit fire
         if not 0 < self.time_limit < math.inf:
             raise ValueError("time_limit must be positive and finite")
@@ -72,8 +81,13 @@ class EngineConfig:
             raise ValueError("pulse_iters must be positive")
 
 
-@dataclass
-class IterationStats:
+def _with(cfg: EngineConfig | None, **changes) -> EngineConfig:
+    """`cfg`, by default `EngineConfig()`, with `changes`, as a new validated
+    config."""
+    return EngineConfig(**{**vars(cfg or EngineConfig()), **changes})
+
+
+class IterationStats(NamedTuple):
     iteration: int
     matches: int
     unions: int
@@ -82,13 +96,14 @@ class IterationStats:
     elapsed: float
 
 
-@dataclass
 class RunReport:
-    iterations: list[IterationStats] = field(default_factory=list)
+    """The statistics of each completed iteration of a run, in order."""
+
+    def __init__(self):
+        self.iterations: list[IterationStats] = []
 
 
-@dataclass
-class ProveResult:
+class ProveResult(NamedTuple):
     outcome: str                 # proved | non_provable | unknown
     value: bool | None           # the proved boolean
     pattern_id: str | None       # matched non-provable pattern
@@ -232,7 +247,7 @@ def prove(expr: Expr, rules, patterns: list[NPPattern] | None = None,
     iteration-level goal checks when `ilc_enabled` and non-provable pattern
     checks when `nppd_enabled`.
     """
-    cfg = replace(cfg or EngineConfig(), pulse_threshold=None)
+    cfg = _with(cfg, pulse_threshold=None)
     return prove_pulsed(expr, rules, patterns, cfg, extract=extract)
 
 
@@ -271,8 +286,7 @@ def max_pulses(cfg: EngineConfig) -> int:
     return 0 if clock.pulse is None else math.ceil(clock.budget / clock.pulse)
 
 
-@dataclass
-class SimplifyResult:
+class SimplifyResult(NamedTuple):
     best_expr: Expr
     cost: int
     stop: StopReason
@@ -287,8 +301,7 @@ def simplify(expr: Expr, rules, cfg: EngineConfig | None = None,
              cost_model: str = AST_SIZE) -> SimplifyResult:
     """Saturate (no goal or pattern checks, no pulsing) and extract the best
     form."""
-    cfg = replace(cfg or EngineConfig(), ilc_enabled=False, nppd_enabled=False,
-                  pulse_threshold=None)
+    cfg = _with(cfg, ilc_enabled=False, nppd_enabled=False, pulse_threshold=None)
     sort_of(expr)
     clock, report = _Clock(cfg), RunReport()
     g, root, stop = _saturate(expr, rules, [], cfg, clock, report)

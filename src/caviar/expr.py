@@ -10,7 +10,6 @@ from __future__ import annotations
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple, Union
 
@@ -72,32 +71,117 @@ class UnboundVariable(ExprError):
     pass
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+# fields of a frozen record are set past its `__setattr__`
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class IntConst:
-    value: int
+class _Record:
+    """An immutable record of the fields `_fields`, which `__init__` sets
+    through `_set`: records are equal when they are of one class and their
+    fields are equal, so that `IntConst(1) != BoolConst(True)`, and `hash`,
+    `repr` and pickling read the fields."""
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class BoolConst:
-    value: bool
+class Var(_Record):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class App:
-    """Operator `op` applied to `args`, as many as `OPERATORS[op].arity`."""
-    op: str
-    args: tuple
+class IntConst(_Record):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class PatVar:
+class BoolConst(_Record):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: bool):
+        _set(self, "value", value)
+
+
+class App(_Record):
+    """Operator `op` applied to `args`, as many as `OPERATORS[op].arity`.
+    `==` and `hash` walk an explicit stack, so they take a term of any
+    depth; the hash is computed once, bottom-up, and kept in `_hash`."""
+    __slots__ = ("op", "args", "_hash")
+    _fields = ("op", "args")
+
+    def __init__(self, op: str, args: tuple):
+        _set(self, "op", op)
+        _set(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is not App:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.op != b.op or len(a.args) != len(b.args):
+                return False
+            for x, y in zip(a.args, b.args):
+                if x.__class__ is App and y.__class__ is App:
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        # a node is hashed once each operator node among its operands keeps
+        # its hash, so each tuple hash below reads kept hashes only
+        stack = [self]
+        while stack:
+            e = stack[-1]
+            todo = [x for x in e.args if x.__class__ is App and not hasattr(x, "_hash")]
+            if todo:
+                stack += todo
+            else:
+                stack.pop()
+                _set(e, "_hash", hash((e.op, e.args)))
+        return self._hash
+
+
+class PatVar(_Record):
     """A pattern variable, written `?name`: a hole that a rule's lhs binds."""
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
 Expr = Union[Var, IntConst, BoolConst, App]

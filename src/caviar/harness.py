@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import asdict, dataclass
 
 from .engine import EngineConfig, NON_PROVABLE, PROVED, prove_pulsed
 from .expr import ParseError, SortError, parse_infix, print_infix
@@ -20,19 +19,24 @@ CSV_HEADER = ["id", "expression", "outcome", "stop_reason", "time_ms",
               "matched_pattern", "best_expr"]
 
 
-@dataclass
 class Row:
-    id: int
-    expression: str
-    outcome: str          # proved_true | proved_false | non_provable | unknown | error
-    stop_reason: str
-    time_ms: float
-    iterations: int
-    pulses: int
-    classes: int
-    enodes: int
-    matched_pattern: str
-    best_expr: str
+    """One report row, its fields in `CSV_HEADER` order. `outcome` is one of
+    proved_true, proved_false, non_provable, unknown and error."""
+
+    def __init__(self, id: int, expression: str, outcome: str, stop_reason: str,
+                 time_ms: float, iterations: int, pulses: int, classes: int,
+                 enodes: int, matched_pattern: str, best_expr: str):
+        self.id, self.expression, self.outcome = id, expression, outcome
+        self.stop_reason, self.time_ms = stop_reason, time_ms
+        self.iterations, self.pulses = iterations, pulses
+        self.classes, self.enodes = classes, enodes
+        self.matched_pattern, self.best_expr = matched_pattern, best_expr
+
+    def __eq__(self, other):
+        # by the report's fields, not by attributes set on a row afterwards
+        if other.__class__ is not Row:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in CSV_HEADER)
 
     def as_list(self) -> list[str]:
         return [str(self.id), self.expression, self.outcome, self.stop_reason,
@@ -41,24 +45,25 @@ class Row:
                 self.best_expr]
 
 
-@dataclass
 class Summary:
-    total: int = 0
-    proved_true: int = 0
-    proved_false: int = 0
-    non_provable: int = 0
-    unknown: int = 0
-    errors: int = 0
-    total_time_ms: float = 0.0
-    proved_time_ms: float = 0.0
-    mean_time_ms: float = 0.0
-    median_time_ms: float = 0.0
-    p95_time_ms: float = 0.0
+    """Row counts by outcome, and the time statistics of the rows that ran."""
+
+    def __init__(self, total: int = 0, proved_true: int = 0, proved_false: int = 0,
+                 non_provable: int = 0, unknown: int = 0, errors: int = 0,
+                 total_time_ms: float = 0.0, proved_time_ms: float = 0.0,
+                 mean_time_ms: float = 0.0, median_time_ms: float = 0.0,
+                 p95_time_ms: float = 0.0):
+        self.total, self.proved_true, self.proved_false = total, proved_true, proved_false
+        self.non_provable, self.unknown, self.errors = non_provable, unknown, errors
+        self.total_time_ms, self.proved_time_ms = total_time_ms, proved_time_ms
+        self.mean_time_ms, self.median_time_ms = mean_time_ms, median_time_ms
+        self.p95_time_ms = p95_time_ms
 
     def as_dict(self) -> dict:
-        """The fields by name, times rounded to the microsecond."""
+        """The fields by name, in `__init__` order, times rounded to the
+        microsecond."""
         return {k: round(v, 3) if isinstance(v, float) else v
-                for k, v in asdict(self).items()}
+                for k, v in vars(self).items()}
 
 
 def read_dataset(text: str) -> list[tuple[int, str]]:

@@ -3,7 +3,6 @@ patterns, and rule application."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from itertools import count
 from typing import Union
@@ -12,8 +11,8 @@ from .egraph import EClassId, EGraph, ENode, enode, leaf_of
 # patterns are terms with holes, so `PatVar` and `Pattern` are the term
 # language's; they are imported from here too
 from .expr import (
-    BOOL, INT, App, BoolConst, IntConst, PatVar, Pattern, SortError, Var, evaluate,
-    root_sort, sort_of,
+    BOOL, INT, App, BoolConst, IntConst, PatVar, Pattern, SortError, Var, _Record, _set,
+    evaluate, root_sort, sort_of,
 )
 
 Substitution = dict  # pattern variable name -> EClassId
@@ -38,37 +37,45 @@ def pattern_vars(p: Pattern) -> list[str]:
 # ---------------------------------------------------------------------------
 # Conditions. Decidable from per-class constant data only.
 
-@dataclass(frozen=True)
-class CondIsConst:
-    var: str
+class _VarCond(_Record):
+    """A condition on the class that pattern variable `var` matched."""
+    __slots__ = _fields = ("var",)
+
+    def __init__(self, var: str):
+        _set(self, "var", var)
 
 
-@dataclass(frozen=True)
-class CondNonConst:
-    var: str
+class CondIsConst(_VarCond):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CondNonZero:
-    var: str
+class CondNonConst(_VarCond):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CondIsVar:
+class CondNonZero(_VarCond):
+    __slots__ = ()
+
+
+class CondIsVar(_VarCond):
     """Holds when the matched class contains a bare-variable e-node."""
-    var: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CondPred:
+class CondPred(_Record):
     # boolean pattern expression over constants; (abs x) in the source
     # grammar is normalized to max(x, -x) at parse time
-    expr: Pattern
+    __slots__ = _fields = ("expr",)
+
+    def __init__(self, expr: Pattern):
+        _set(self, "expr", expr)
 
 
-@dataclass(frozen=True)
-class CondAnd:
-    items: tuple
+class CondAnd(_Record):
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items: tuple):
+        _set(self, "items", items)
 
 
 Condition = Union[CondIsConst, CondNonConst, CondNonZero, CondIsVar, CondPred, CondAnd]
@@ -141,13 +148,11 @@ def eval_condition_ground(cond: Condition, values: dict) -> bool:
 # Rules and non-provable patterns: each is a guarded pattern, one that
 # matches where its substitution satisfies its side condition.
 
-class _Guarded:
+class _Guarded(_Record):
     """What `Rule` and `NPPattern` share: the pattern `lhs`, searched for
-    matches whose substitution satisfies the condition `cond`."""
-
-    def __reduce__(self):
-        # pickles without the compiled forms, which hold generated code
-        return (type(self), tuple([getattr(self, f.name) for f in fields(self)]))
+    matches whose substitution satisfies the condition `cond`. The compiled
+    forms are kept in the instance `__dict__`, which pickling leaves out,
+    since they hold generated code."""
 
     @cached_property
     def gather(self):
@@ -188,12 +193,12 @@ class _Guarded:
         return env
 
 
-@dataclass(frozen=True)
 class Rule(_Guarded):
-    name: str
-    lhs: Pattern
-    rhs: Pattern
-    cond: Condition | None = None
+    _fields = ("name", "lhs", "rhs", "cond")
+
+    def __init__(self, name: str, lhs: Pattern, rhs: Pattern,
+                 cond: Condition | None = None):
+        vars(self).update(name=name, lhs=lhs, rhs=rhs, cond=cond)
 
     @cached_property
     def shape(self) -> frozenset:
@@ -259,12 +264,12 @@ def index(g: EGraph) -> tuple[dict[str, list[EClassId]], set]:
     return by_op, shape
 
 
-@dataclass(frozen=True)
 class NPPattern(_Guarded):
     """A pattern whose instances the ruleset is known to be unable to decide."""
-    id: str
-    pattern: Pattern
-    cond: Condition
+    _fields = ("id", "pattern", "cond")
+
+    def __init__(self, id: str, pattern: Pattern, cond: Condition):
+        vars(self).update(id=id, pattern=pattern, cond=cond)
 
     @property
     def lhs(self) -> Pattern:

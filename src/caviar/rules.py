@@ -17,7 +17,6 @@ A malformed file raises ParseError or SortError naming the line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 
 from .expr import ParseError, PatVar, SortError, build_term, read_sexprs
@@ -78,12 +77,11 @@ def _cond(node) -> Condition:
 # ---------------------------------------------------------------------------
 # Rulesets.
 
-@dataclass
 class Ruleset:
-    name: str
-    rules: list[Rule] = field(default_factory=list)
+    """A named list of rules, no two of one name."""
 
-    def __post_init__(self):
+    def __init__(self, name: str, rules: list[Rule] | None = None):
+        self.name, self.rules = name, [] if rules is None else rules
         names = [r.name for r in self.rules]
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:

@@ -4,9 +4,13 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import caviar
 from caviar.cli import main
 from caviar.corpusgen import CORPUS_NAMES, corpus_text
 from caviar.engine import EngineConfig
@@ -17,6 +21,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_python_m_caviar_runs_the_cli(capsys):
+    # a checkout runs the command without installing it, through __main__
+    argv = ["prove", "--expr", "x + 1 > x", "--deterministic"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(caviar.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "caviar", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
+    assert ",proved_true,goal_found(1)," in proc.stdout
 
 
 def test_prove_single_expression(capsys):

@@ -2,7 +2,9 @@
 
 import hashlib
 import math
+import random
 import time
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -13,9 +15,11 @@ from caviar.engine import (
     SATURATED, TIME_LIMIT, max_pulses, prove, prove_pulsed, simplify,
 )
 from caviar.corpusgen import corpus_text
-from caviar.expr import SortError, parse_infix, print_infix
+from caviar.expr import OPERATORS, App, SortError, Var, free_vars, parse_infix, print_infix
 from caviar.harness import read_dataset
 from caviar.rules import default_nppd_patterns, default_ruleset, parse_rules
+
+from .helpers import random_bool_expr
 
 RULES = default_ruleset().rules
 NPPD = default_nppd_patterns()
@@ -366,3 +370,39 @@ def test_wall_clock_pulses_on_a_work_clock(monkeypatch):
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == \
         "6001b1151f1612ced3df9a1b675ebfb844a1ead8b1c951660c0c088afb432f5c"
+
+
+def _on_grid(e, env: dict, n: int) -> list:
+    """The values of `e` at the `n` grid points, where `env` holds each
+    variable's values."""
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, App):
+        return list(map(OPERATORS[e.op].semantics, *[_on_grid(x, env, n) for x in e.args]))
+    return [e.value] * n
+
+
+def test_proved_verdicts_hold_on_random_rows():
+    # random rows of at most 3 variables, on the iteration clock; a row
+    # proved `v` must evaluate to `v` at every point of the grid -9..9, and
+    # no run may raise. Grid constancy alone proves nothing, since a grid
+    # can miss the one point where a row differs
+    seed, draws = 1, 600
+    c = cfg(deterministic=True, iter_limit=12, node_limit=20_000, pulse_iters=4)
+    rng = random.Random(seed)
+    rows, outcomes = 0, {"proved": 0, "non_provable": 0, "unknown": 0}
+    for _ in range(draws):
+        e = random_bool_expr(rng, rng.randint(1, 4))
+        names = sorted(free_vars(e))
+        if len(names) > 3:
+            continue
+        rows += 1
+        r = prove_pulsed(e, RULES, NPPD, c)
+        outcomes[r.outcome] += 1
+        if r.outcome == "proved":
+            points = list(product(range(-9, 10), repeat=len(names)))
+            env = {v: [p[i] for p in points] for i, v in enumerate(names)}
+            assert all(x is r.value for x in _on_grid(e, env, len(points))), print_infix(e)
+    # the draw is fixed, and enough rows are proved for the check to bite
+    # (151 when this was written)
+    assert rows == 508 and outcomes["proved"] >= 100, (rows, outcomes)

@@ -3,6 +3,8 @@ and `from __future__` imports are compiler switches, not names."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import caviar
 
@@ -45,3 +47,16 @@ def test_every_exported_name_resolves():
     # does not define, though the scan above counts it as read
     missing = [name for name in caviar.__all__ if not hasattr(caviar, name)]
     assert not missing
+
+
+def test_cli_start_up_imports_no_heavy_modules():
+    # what the `caviar` command loads before its first proof: `dataclasses`
+    # alone pulls in `inspect`, `ast`, `dis` and `tokenize`, and the pool and
+    # report modules are imported where a pool or a report is made. `-S`
+    # leaves out site's start-up imports, so only caviar's are counted
+    heavy = ["dataclasses", "inspect", "concurrent.futures", "statistics", "csv"]
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import caviar.cli; "
+            f"print(sorted(set({heavy!r}) & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
